@@ -3,15 +3,20 @@
 Covers the combinatorial tau_i for slender posets, dual domino chains, the
 cross-polytope closed forms on signed permutations, and the linear operator
 tau_i on the chain vector space of an arbitrary graded poset.
+
+Chain operators read one table of rank-2 interval middles per GradedPoset,
+built from the covers on first use and cached with the slenderness flag, so
+slenderness is checked once per GradedPoset and tau_i is a table lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .posets import Poset, poset_from_covers
+from .posets import Poset, _mask_members, poset_from_covers
 
 
 @dataclass(frozen=True)
@@ -23,14 +28,24 @@ class GradedPoset:
     height: int  # rank of the top element
 
     def middles(self, s: int, t: int) -> tuple:
-        """Elements strictly between s and t."""
+        """Elements strictly between s and t, from the order relation."""
         P = self.poset
-        mask = P.leq_mask[s] & P.geq_mask[t] & ~(1 << s) & ~(1 << t)
-        out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return tuple(out)
+        return _mask_members(P.leq_mask[s] & P.geq_mask[t] & ~(1 << s) & ~(1 << t))
+
+    @cached_property
+    def rank2(self) -> dict:
+        """{(s, t): middles ascending} per rank-2 interval, from covers s < a < t."""
+        up = self.poset.up
+        table = {}
+        for s in range(self.poset.p):
+            for a in up[s]:
+                for t in up[a]:
+                    table.setdefault((s, t), []).append(a)
+        return {st: tuple(sorted(mids)) for st, mids in table.items()}
+
+    @cached_property
+    def slender(self) -> bool:
+        return all(len(mids) <= 2 for mids in self.rank2.values())
 
 
 def graded_from_poset(P: Poset) -> GradedPoset:
@@ -69,53 +84,49 @@ def maximal_chains(Q: GradedPoset) -> list:
 
 
 def is_slender(Q: GradedPoset) -> bool:
-    """Every rank-2 interval has 3 or 4 elements (one or two middles)."""
-    P = Q.poset
-    for s in range(P.p):
-        for t in range(P.p):
-            if P.less(s, t) and Q.rank[t] - Q.rank[s] == 2:
-                if len(Q.middles(s, t)) not in (1, 2):
-                    return False
-    return True
+    """Every rank-2 interval has 3 or 4 elements; computed once per GradedPoset."""
+    return Q.slender
 
 
 def tau_chain(Q: GradedPoset, chain: tuple, i: int):
-    """Swap t_i for the other middle of [t_{i-1}, t_{i+1}] when there is one."""
-    if not is_slender(Q):
-        raise ValueError("tau_chain requires a slender poset")
-    return _tau_chain_unchecked(Q, chain, i)
-
-
-def _tau_chain_unchecked(Q: GradedPoset, chain: tuple, i: int):
+    """Swap t_i for the other middle of [t_{i-1}, t_{i+1}] when there is one,
+    by lookup in the rank-2 table; slenderness is checked once per GradedPoset."""
     if not 1 <= i <= Q.height - 1:
         raise IndexError(f"tau index {i} out of range 1..{Q.height - 1}")
-    mids = Q.middles(chain[i - 1], chain[i + 1])
-    if len(mids) == 1:
-        return chain
-    other = mids[0] if mids[1] == chain[i] else mids[1]
-    return chain[:i] + (other,) + chain[i + 1:]
+    return _tau_word(Q, chain, (i,))
 
 
-def _tau_word_chain(Q: GradedPoset, chain, indices):
-    for i in indices:
-        chain = _tau_chain_unchecked(Q, chain, i)
-    return chain
+def _tau_word(Q: GradedPoset, chain: tuple, word) -> tuple:
+    """Apply tau_i for each i of `word` (1 <= i < height) in turn."""
+    if not Q.slender:
+        raise ValueError("requires a slender poset")
+    if len(chain) != Q.height + 1:
+        raise ValueError(f"not a maximal chain: {chain}")
+    out = list(chain)
+    for i in word:
+        mids = Q.rank2.get((out[i - 1], out[i + 1]), ())
+        if out[i] not in mids:
+            raise ValueError(f"not a maximal chain: {chain}")
+        if len(mids) == 2:
+            out[i] = mids[1] if mids[0] == out[i] else mids[0]
+    return tuple(out)
 
 
 def promote_chain(Q: GradedPoset, chain: tuple) -> tuple:
     """delta = tau_1 ... tau_{n-1} on a maximal chain (slender posets)."""
-    if not is_slender(Q):
-        raise ValueError("requires a slender poset")
-    return _tau_word_chain(Q, chain, range(1, Q.height))
+    return _tau_word(Q, chain, range(1, Q.height))
 
 
 def evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
-    """gamma on a maximal chain (slender posets)."""
-    if not is_slender(Q):
-        raise ValueError("requires a slender poset")
-    for m in range(Q.height - 1, 0, -1):
-        chain = _tau_word_chain(Q, chain, range(1, m + 1))
-    return chain
+    """gamma = delta_{n-1} ... delta_1 with delta_m = tau_1 ... tau_m."""
+    h = Q.height
+    return _tau_word(Q, chain, [i for m in range(h - 1, 0, -1) for i in range(1, m + 1)])
+
+
+def dual_evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
+    """gamma* = delta*_1 ... delta*_{n-1} with delta*_k = tau_{n-1} ... tau_k."""
+    h = Q.height
+    return _tau_word(Q, chain, [i for k in range(1, h) for i in range(h - 1, k - 1, -1)])
 
 
 def self_evacuating_chains(Q: GradedPoset) -> list:
@@ -135,12 +146,7 @@ def dual_domino_chains(Q: GradedPoset) -> list:
     P = Q.poset
 
     def two_step_targets(s):
-        out = []
-        for t in range(P.p):
-            if P.less(s, t) and Q.rank[t] - Q.rank[s] == 2:
-                if len(Q.middles(s, t)) == 1:
-                    out.append(t)
-        return out
+        return sorted(t for a in P.up[s] for t in P.up[a] if len(Q.rank2[s, t]) == 1)
 
     results = []
 
@@ -319,7 +325,9 @@ class ChainVector:
 
 def chain_neighbors(Q: GradedPoset, chain: tuple, i: int) -> list:
     """N_i(m): maximal chains differing from m exactly at t_i."""
-    mids = Q.middles(chain[i - 1], chain[i + 1])
+    mids = Q.rank2.get((chain[i - 1], chain[i + 1]), ())
+    if chain[i] not in mids:
+        raise ValueError(f"not a maximal chain: {chain}")
     return [
         chain[:i] + (t,) + chain[i + 1:] for t in mids if t != chain[i]
     ]

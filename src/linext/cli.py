@@ -16,6 +16,7 @@ from . import chains, corpus, flags, hecke, promotion, sieve, stats, verify
 from .hecke import HeckeCapExceeded
 from .io import ParseError, format_word, load_poset, parse_shape, parse_word
 from .posets import (
+    DEFAULT_IDEAL_CAP,
     CapExceeded,
     count_extensions,
     linear_extensions,
@@ -68,7 +69,7 @@ def cmd_le(args):
 
 def cmd_count(args):
     P = _load_input(args)
-    _emit([(count_extensions(P),)], ("e",), args.format)
+    _emit([(count_extensions(P, cap=args.ideal_cap),)], ("e",), args.format)
     return EXIT_OK
 
 
@@ -227,12 +228,13 @@ def cmd_hecke(args):
 def cmd_slender(args):
     P = load_poset(args.posetfile)
     Q = chains.graded_from_poset(P)
+    slender = chains.is_slender(Q)
     rows = [
         (
-            chains.is_slender(Q),
+            slender,
             len(chains.maximal_chains(Q)),
             len(chains.dual_domino_chains(Q)),
-            len(chains.self_evacuating_chains(Q)) if chains.is_slender(Q) else "-",
+            len(chains.self_evacuating_chains(Q)) if slender else "-",
         )
     ]
     _emit(rows, ("slender", "max_chains", "dual_domino", "self_evacuating"), args.format)
@@ -283,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
     ap.add_argument("--cap", type=int, default=200_000, help="extension cap")
     ap.add_argument("--hecke-cap", type=int, default=7)
+    ap.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_CAP,
+                    help="order-ideal cap of the e(P) count")
     ap.add_argument(
         "--threads",
         type=int,

@@ -200,8 +200,11 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Wo
     yield from rec(0)
 
 
-def count_extensions(P: Poset) -> int:
-    """e(P), by dynamic programming over order ideals."""
+def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> int:
+    """e(P), by dynamic programming over order ideals.
+
+    Raises CapExceeded once more than `cap` ideals are memoised.
+    """
     full = (1 << P.p) - 1
     leq = P.leq_mask
     memo = {0: 1}
@@ -219,6 +222,10 @@ def count_extensions(P: Poset) -> int:
                 continue  # t not maximal in the ideal
             total += f(mask ^ bit)
         memo[mask] = total
+        if len(memo) > cap:
+            raise CapExceeded(
+                f"e(P) of a {P.p}-element poset needs more than {cap} order ideals"
+            )
         return total
 
     return f(full)
@@ -228,8 +235,15 @@ def ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list:
     """All order ideals as bitmasks, sorted by (size, lowest-id members)."""
     seen = {0}
     frontier = [0]
+    out = []
     geq = P.geq_mask
-    while frontier:
+    fmt = f"0{P.p}b"
+    while frontier:  # frontier: all ideals of one size
+        # Among masks of one size, lex order of the member tuples puts first
+        # the mask holding the lowest bit where two differ: the larger one
+        # when the bits are read in reverse.
+        frontier.sort(key=lambda m: int(format(m, fmt)[::-1], 2), reverse=True)
+        out.extend(frontier)
         new = []
         for mask in frontier:
             for t in range(P.p):
@@ -245,7 +259,7 @@ def ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list:
                         raise CapExceeded(f"more than {cap} order ideals")
                     new.append(nxt)
         frontier = new
-    return sorted(seen, key=lambda m: (bin(m).count("1"), _mask_members(m)))
+    return out
 
 
 def _mask_members(mask: int) -> tuple:

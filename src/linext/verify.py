@@ -367,32 +367,18 @@ def verify_crosspoly(ns=(2, 3, 4, 5)) -> list:
         if n <= 4:
             Q, faces = chains.cross_polytope(n)
             ok = chains.is_slender(Q)
+            pairs = (
+                (chains.promote_chain, chains.signed_delta),
+                (chains.evacuate_chain, chains.signed_gamma),
+                (chains.dual_evacuate_chain, chains.signed_gamma_star),
+            )
             for m in chains.maximal_chains(Q):
                 w = chains.chain_to_signed_perm(faces, m)
-                if chains.chain_to_signed_perm(
-                    faces, chains.promote_chain(Q, m)
-                ) != chains.signed_delta(w):
-                    ok = False
-                if chains.chain_to_signed_perm(
-                    faces, chains.evacuate_chain(Q, m)
-                ) != chains.signed_gamma(w):
-                    ok = False
-                gs = chains.chain_to_signed_perm(
-                    faces,
-                    _dual_evacuate_chain(Q, m),
-                )
-                if gs != chains.signed_gamma_star(w):
-                    ok = False
+                for op, closed_form in pairs:
+                    if chains.chain_to_signed_perm(faces, op(Q, m)) != closed_form(w):
+                        ok = False
             out.append(CheckResult(f"L_{n}: closed forms match generic", ok))
     return out
-
-
-def _dual_evacuate_chain(Q, m):
-    """gamma* as a tau_chain word."""
-    for k in range(1, Q.height):
-        for i in range(Q.height - 1, k - 1, -1):
-            m = chains.tau_chain(Q, m, i)
-    return m
 
 
 def verify_hecke_consistency(cases=((2, 2), (2, 3), (3, 2))) -> list:

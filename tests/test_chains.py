@@ -14,6 +14,7 @@ from linext.chains import (
     chain_to_signed_perm,
     cross_polytope,
     dual_domino_chains,
+    dual_evacuate_chain,
     evacuate_chain,
     evacuate_chains,
     graded_from_poset,
@@ -32,6 +33,8 @@ from linext.chains import (
     tau_chain,
 )
 from linext.corpus import boolean_lattice, weak_order_s3
+from linext.flags import subspace_lattice
+from linext.posets import Shape, ideals_lattice, shape_poset
 from linext.posets import chain as chain_poset
 from linext.posets import poset_from_covers
 
@@ -64,6 +67,71 @@ def test_tau_chain_swaps_unique_middle():
     for m in (m1, m2):
         for i in (1, 2):
             assert tau_chain(ws3, tau_chain(ws3, m, i), i) == m
+
+
+def _tau_by_middles(Q, m, i):
+    others = [t for t in Q.middles(m[i - 1], m[i + 1]) if t != m[i]]
+    return m[:i] + (others[0],) + m[i + 1:] if others else m
+
+
+@pytest.mark.parametrize("which", ["J(3,3)", "L_3"])
+def test_rank2_table_matches_middles(which):
+    if which == "L_3":
+        Q, _ = cross_polytope(3)
+    else:
+        Q = graded(ideals_lattice(shape_poset(Shape((3, 3))))[0])
+    P = Q.poset
+    assert Q.rank2 == {
+        (s, t): Q.middles(s, t)
+        for s in range(P.p)
+        for t in range(P.p)
+        if P.less(s, t) and Q.rank[t] - Q.rank[s] == 2
+    }
+    for m in maximal_chains(Q):
+        for i in range(1, Q.height):
+            assert tau_chain(Q, m, i) == _tau_by_middles(Q, m, i)
+
+
+def test_dual_evacuate_chain_is_signed_gamma_star():
+    Q, faces = cross_polytope(4)
+    for m in maximal_chains(Q):
+        w = chain_to_signed_perm(faces, m)
+        image = dual_evacuate_chain(Q, m)
+        assert chain_to_signed_perm(faces, image) == signed_gamma_star(w)
+
+
+def test_non_slender_rejected_on_every_call():
+    Q = subspace_lattice(2, 2).graded  # [0, F_2^2] has 3 middles
+    m = maximal_chains(Q)[0]
+    calls = (
+        lambda: tau_chain(Q, m, 1),
+        lambda: promote_chain(Q, m),
+        lambda: evacuate_chain(Q, m),
+        lambda: dual_evacuate_chain(Q, m),
+        lambda: self_evacuating_chains(Q),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="slender"):
+                call()
+    assert not is_slender(Q) and not is_slender(Q)
+
+
+def test_non_maximal_chain_rejected():
+    b3 = graded(boolean_lattice(3))
+    m = maximal_chains(b3)[0]
+    wrong_middle = next(
+        m[:1] + (t,) + m[2:] for t in range(b3.poset.p)
+        if b3.rank[t] == 1 and t not in b3.middles(m[0], m[2])
+    )
+    for bad in (m[::-1], m[:-1], wrong_middle):
+        for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
+            with pytest.raises(ValueError, match="not a maximal chain"):
+                op(b3, bad)
+    with pytest.raises(ValueError, match="not a maximal chain"):
+        tau_chain(b3, wrong_middle, 1)
+    with pytest.raises(ValueError, match="not a maximal chain"):
+        chain_neighbors(b3, wrong_middle, 1)
 
 
 def test_promote_and_evacuate_chain_are_bijections():

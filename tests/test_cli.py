@@ -115,6 +115,16 @@ def test_cli_exit_codes(capsys):
     assert code == 2  # not a linear extension
 
 
+def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys):
+    f = tmp_path / "antichain40.poset"
+    f.write_text("p=40\n")  # 2^40 ideals
+    code, out, err = run_cli(
+        ["--ideal-cap", "1000", "count", "--poset", str(f)], capsys
+    )
+    assert code == 3 and out == ""
+    assert "40-element" in err and "1000" in err
+
+
 def test_cli_poset_file_input(tmp_path, capsys):
     f = tmp_path / "p.poset"
     f.write_text("p=3\n0<1\n0<2\n")

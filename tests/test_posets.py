@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linext.corpus import corpus
 from linext.posets import (
     CapExceeded,
     CycleError,
     Poset,
     Shape,
+    _mask_members,
     antichain,
     antichain_cuts_all_chains,
     chain,
@@ -88,6 +90,22 @@ def test_ideals_are_downward_closed(P):
             for below in range(P.p):
                 if P.leq(below, t):
                     assert below in s
+
+
+def test_ideals_sorted_by_size_then_members():
+    # ideals_lattice ids, and so chain ids of J(P), depend on this order.
+    for P in corpus().values():
+        for Q in (P, dual_poset(P)):
+            masks = ideals(Q)
+            assert masks == sorted(
+                masks, key=lambda m: (bin(m).count("1"), _mask_members(m))
+            )
+
+
+def test_count_extensions_cap():
+    with pytest.raises(CapExceeded, match="12-element poset .* 100 order ideals"):
+        count_extensions(antichain(12), cap=100)
+    assert count_extensions(antichain(4), cap=16) == 24  # 16 ideals
 
 
 def test_ideal_lattice_of_antichain_is_boolean():

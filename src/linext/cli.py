@@ -16,7 +16,6 @@ from . import chains, corpus, flags, hecke, promotion, sieve, stats, verify
 from .hecke import HeckeCapExceeded
 from .io import ParseError, format_word, load_poset, parse_shape, parse_word
 from .posets import (
-    DEFAULT_IDEAL_CAP,
     CapExceeded,
     count_extensions,
     linear_extensions,
@@ -69,7 +68,7 @@ def cmd_le(args):
 
 def cmd_count(args):
     P = _load_input(args)
-    _emit([(count_extensions(P, cap=args.ideal_cap),)], ("e",), args.format)
+    _emit([(count_extensions(P),)], ("e",), args.format)
     return EXIT_OK
 
 
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
     ap.add_argument("--cap", type=int, default=200_000, help="extension cap")
     ap.add_argument("--hecke-cap", type=int, default=7)
-    ap.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_CAP,
-                    help="order-ideal cap of the e(P) count")
     ap.add_argument(
         "--threads",
         type=int,

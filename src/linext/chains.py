@@ -7,6 +7,8 @@ tau_i on the chain vector space of an arbitrary graded poset.
 Chain operators read one table of rank-2 interval middles per GradedPoset,
 built from the covers on first use and cached with the slenderness flag, so
 slenderness is checked once per GradedPoset and tau_i is a table lookup.
+The words delta, gamma and gamma* are the ones promotion.py applies to linear
+extensions.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .posets import Poset, _mask_members, poset_from_covers
+from .promotion import delta_word, gamma_star_word, gamma_word
 
 
 @dataclass(frozen=True)
@@ -113,20 +116,18 @@ def _tau_word(Q: GradedPoset, chain: tuple, word) -> tuple:
 
 
 def promote_chain(Q: GradedPoset, chain: tuple) -> tuple:
-    """delta = tau_1 ... tau_{n-1} on a maximal chain (slender posets)."""
-    return _tau_word(Q, chain, range(1, Q.height))
+    """The word delta on a maximal chain (slender posets)."""
+    return _tau_word(Q, chain, delta_word(Q.height))
 
 
 def evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
-    """gamma = delta_{n-1} ... delta_1 with delta_m = tau_1 ... tau_m."""
-    h = Q.height
-    return _tau_word(Q, chain, [i for m in range(h - 1, 0, -1) for i in range(1, m + 1)])
+    """The word gamma on a maximal chain (slender posets)."""
+    return _tau_word(Q, chain, gamma_word(Q.height))
 
 
 def dual_evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
-    """gamma* = delta*_1 ... delta*_{n-1} with delta*_k = tau_{n-1} ... tau_k."""
-    h = Q.height
-    return _tau_word(Q, chain, [i for k in range(1, h) for i in range(h - 1, k - 1, -1)])
+    """The word gamma* on a maximal chain (slender posets)."""
+    return _tau_word(Q, chain, gamma_star_word(Q.height))
 
 
 def self_evacuating_chains(Q: GradedPoset) -> list:
@@ -359,14 +360,14 @@ def linear_tau(Q: GradedPoset, v: ChainVector, i: int) -> ChainVector:
 
 
 def promote_chains(Q: GradedPoset, v: ChainVector) -> ChainVector:
-    for i in range(1, Q.height):
+    """The delta word of linear tau operators."""
+    for i in delta_word(Q.height):
         v = linear_tau(Q, v, i)
     return v
 
 
 def evacuate_chains(Q: GradedPoset, v: ChainVector) -> ChainVector:
     """The gamma word of linear tau operators; an involution."""
-    for m in range(Q.height - 1, 0, -1):
-        for i in range(1, m + 1):
-            v = linear_tau(Q, v, i)
+    for i in gamma_word(Q.height):
+        v = linear_tau(Q, v, i)
     return v

@@ -2,14 +2,13 @@
 
 Exit codes: 0 all requested computations/verifications passed, 1 a
 verification failed, 2 parse/usage error, 3 a size cap was breached.
-Output is deterministic (sorted emission) and independent of LINDEX_THREADS.
+Output is deterministic (sorted emission).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import chains, corpus, flags, hecke, promotion, sieve, stats, verify
@@ -117,16 +116,21 @@ def cmd_stats(args):
         else:
             print(poly_str(poly, "x"))
         return EXIT_OK
+    original = sorted(range(P.p), key=relabel.__getitem__)  # Q's id -> P's id
     if args.stat == "domino":
         tableaux = stats.dual_domino_tableaux(Q)
         rows = [
-            (" | ".join(",".join(map(str, sorted(ideal))) for ideal in t),)
-            for t in tableaux
+            (" | ".join(",".join(map(str, sorted(original[t] for t in ideal)))
+                        for ideal in tableau),)
+            for tableau in tableaux
         ]
         _emit(rows, ("ideal_chain",), fmt)
         return EXIT_OK
     if args.stat == "selfevac":
-        rows = [(format_word(w),) for w in stats.self_evacuating(Q, cap=args.cap)]
+        rows = [
+            (format_word(original[t] for t in w),)
+            for w in stats.self_evacuating(Q, cap=args.cap)
+        ]
         _emit(rows, ("extension",), fmt)
         return EXIT_OK
     if args.stat == "signbalance":
@@ -151,6 +155,8 @@ def cmd_sieve(args):
         return EXIT_OK
     if args.action == "check":
         s = parse_shape(args.shape)
+        if s.shifted or len(set(s.rows)) != 1:
+            raise ParseError(f"sieve check needs a rectangle, not {args.shape!r}")
         rows_data = sieve.cyclic_sieving_check(len(s.rows), s.rows[0], cap=args.cap)
         rows = [
             (r.d, r.fixed, r.f_at_root, "pass" if r.ok else "FAIL")
@@ -182,9 +188,11 @@ def cmd_sieve(args):
 def cmd_hecke(args):
     fmt = args.format
     if args.action == "cw":
+        w = tuple(int(ch) for ch in args.w or "")
+        if w and sorted(w) != list(range(1, args.n + 1)):
+            raise ParseError(f"--w {args.w!r} is not a permutation of 1..{args.n}")
         elt = hecke.evacuation_element(args.n, cap=args.hecke_cap)
-        if args.w:
-            w = tuple(int(ch) for ch in args.w)
+        if w:
             c = elt.coeff(w)
             if fmt == "json":
                 num, den = c.as_int_pair()
@@ -284,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
     ap.add_argument("--cap", type=int, default=200_000, help="extension cap")
     ap.add_argument("--hecke-cap", type=int, default=7)
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("LINDEX_THREADS", "1")),
-        help="worker threads (results are identical for any value)",
-    )
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def poset_args(p):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from .promotion import gamma_word
 from .ratfunc import (
     ONE_POLY,
     Q_MINUS_1,
@@ -91,11 +92,6 @@ def reduced_word(w: Perm) -> tuple:
                 letters.append(i)
                 changed = True
     return tuple(reversed(letters))
-
-
-def longest_element_word(n: int) -> tuple:
-    """The pinned reduced word (1, 2, ..., n-1, 1, ..., n-2, ..., 1, 2, 1) of w0."""
-    return tuple(i for m in range(n - 1, 0, -1) for i in range(1, m + 1))
 
 
 class HeckeElt:
@@ -224,12 +220,12 @@ def e_i(n: int, i: int) -> HeckeElt:
 
 @lru_cache(maxsize=None)
 def _expand_numerators(n: int) -> dict:
-    """Expand prod (q - 1 - 2 T_i) over the evacuation word of w0.
+    """Expand prod (q - 1 - 2 T_i) over the evacuation word gamma of w0.
 
     Returns {w: IntPoly}; dividing each entry by (q+1)^C(n,2) gives c_w(q).
     """
     terms = {identity_perm(n): ONE_POLY}
-    for i in longest_element_word(n):
+    for i in gamma_word(n):
         out = {}
 
         def acc(w, poly):

@@ -8,6 +8,7 @@ ids as produced by posets.linear_extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .posets import (
@@ -19,28 +20,63 @@ from .posets import (
     conjugate_extension,
     dual_poset,
     linear_extensions,
+    restrict,
 )
 
 
-def tau(P: Poset, word: Word, i: int) -> Word:
-    """Swap word positions i, i+1 (1-based) iff the elements are incomparable."""
-    if not 1 <= i <= P.p - 1:
-        raise IndexError(f"tau index {i} out of range 1..{P.p - 1}")
-    a, b = word[i - 1], word[i]
-    if P.comparable(a, b):
-        return word
-    return word[: i - 1] + (b, a) + word[i + 1:]
+# The operator words in tau_1 .. tau_{n-1}.  They serve linear extensions
+# (n = p), maximal chains of a slender poset (n = its rank) and the Hecke
+# algebra H_n(q) (E_i in place of tau_i).
+
+
+@lru_cache(maxsize=None)
+def delta_word(n: int) -> tuple:
+    """delta = tau_1 tau_2 ... tau_{n-1}: promotion."""
+    return tuple(range(1, n))
+
+
+@lru_cache(maxsize=None)
+def gamma_word(n: int) -> tuple:
+    """gamma = delta_{n-1} ... delta_1 with delta_m = tau_1 ... tau_m:
+    evacuation, and the pinned reduced word (1, ..., n-1, 1, ..., n-2, ..., 1)
+    of the longest permutation w0."""
+    return tuple(i for m in range(n - 1, 0, -1) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def gamma_star_word(n: int) -> tuple:
+    """gamma* = delta*_1 ... delta*_{n-1} with delta*_k = tau_{n-1} ... tau_k:
+    dual evacuation."""
+    return tuple(i for k in range(1, n) for i in range(n - 1, k - 1, -1))
+
+
+@lru_cache(maxsize=None)
+def odd_falling_word(m: int) -> tuple:
+    """tau_1 . tau_3 tau_2 tau_1 . tau_5 ... tau_1 ..., one falling run
+    tau_k ... tau_1 per odd k <= m: the word of Lemma 2 and of the domino
+    bijection."""
+    return tuple(i for top in range(1, m + 1, 2) for i in range(top, 0, -1))
 
 
 def tau_word(P: Poset, word: Word, indices) -> Word:
+    """Apply tau_i for each i of `indices` in turn: swap word positions i, i+1
+    (1-based) iff their elements are incomparable."""
+    p = P.p
+    leq = P.leq_mask
+    out = list(word)
     for i in indices:
-        word = tau(P, word, i)
-    return word
+        if not 0 < i < p:
+            raise IndexError(f"tau index {i} out of range 1..{p - 1}")
+        a, b = out[i - 1], out[i]
+        if not (leq[a] >> b & 1 or leq[b] >> a & 1):
+            out[i - 1] = b
+            out[i] = a
+    return tuple(out)
 
 
-def promote_word(P: Poset, word: Word) -> Word:
-    """f d via the word operators: apply tau_1, tau_2, ..., tau_{p-1}."""
-    return tau_word(P, word, range(1, P.p))
+def tau(P: Poset, word: Word, i: int) -> Word:
+    """The single tau_i; raises IndexError unless 1 <= i <= p-1."""
+    return tau_word(P, word, (i,))
 
 
 def rotate_blocks(blocks) -> tuple:
@@ -98,7 +134,8 @@ def promote_slide(P: Poset, word: Word):
 
 
 def promote(P: Poset, word: Word) -> Word:
-    return promote_word(P, word)
+    """f d: the tau word delta."""
+    return tau_word(P, word, delta_word(P.p))
 
 
 def dual_promote(P: Poset, word: Word) -> Word:
@@ -119,18 +156,12 @@ def dual_promote(P: Poset, word: Word) -> Word:
 
 def evacuate(P: Poset, word: Word) -> Word:
     """f e: promote-and-freeze, realized as the tau word gamma."""
-    p = P.p
-    for m in range(p - 1, 0, -1):
-        word = tau_word(P, word, range(1, m + 1))
-    return word
+    return tau_word(P, word, gamma_word(P.p))
 
 
 def dual_evacuate(P: Poset, word: Word) -> Word:
-    """f e*: the tau word gamma* (tau_{p-1}..tau_1 tau_{p-1}..tau_2 ...)."""
-    p = P.p
-    for k in range(1, p):
-        word = tau_word(P, word, range(p - 1, k - 1, -1))
-    return word
+    """f e*: the tau word gamma*."""
+    return tau_word(P, word, gamma_star_word(P.p))
 
 
 def dual_evacuate_via_dual(P: Poset, word: Word) -> Word:
@@ -147,24 +178,13 @@ def evacuate_by_freezing(P: Poset, word: Word) -> Word:
     active = list(word)
     while active:
         k = len(active)
-        sub, submap = _restrict_word(P, active)
-        promoted, _ = promote_slide(sub, tuple(sub_word(submap, active)))
-        active = [submap[i] for i in promoted]
+        sub, keep = restrict(P, active)
+        index = {t: i for i, t in enumerate(keep)}
+        promoted, _ = promote_slide(sub, tuple(index[t] for t in active))
+        active = [keep[i] for i in promoted]
         frozen[active[-1]] = k
         active = active[:-1]
     return tuple(sorted(frozen, key=frozen.__getitem__))
-
-
-def _restrict_word(P: Poset, elems):
-    from .posets import restrict
-
-    sub, keep = restrict(P, elems)
-    return sub, keep
-
-
-def sub_word(keep, elems):
-    index = {t: i for i, t in enumerate(keep)}
-    return [index[t] for t in elems]
 
 
 def principal_chain(P: Poset, word: Word) -> tuple:
@@ -200,14 +220,6 @@ class OrbitReport:
 
     def order(self) -> int:
         return lcm(*self.cycle_lengths) if self.cycle_lengths else 1
-
-
-OPERATORS = {
-    "promote": lambda P, w: promote_word(P, w),
-    "evacuate": evacuate,
-    "dual_evacuate": dual_evacuate,
-    "promote_p": None,  # handled specially below
-}
 
 
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
@@ -255,14 +267,18 @@ def permutation_power(perm: dict, k: int) -> dict:
     return out
 
 
+OPERATORS = {  # name -> (P, cap) -> the permutation of L(P)
+    "promote": lambda P, cap: extension_permutation(P, promote, cap),
+    "evacuate": lambda P, cap: extension_permutation(P, evacuate, cap),
+    "dual_evacuate": lambda P, cap: extension_permutation(P, dual_evacuate, cap),
+    "promote_p": lambda P, cap: permutation_power(extension_permutation(P, promote, cap), P.p),
+}
+
+
 def orbit_structure(P: Poset, operator: str, cap: int = DEFAULT_EXTENSION_CAP) -> OrbitReport:
-    if operator == "promote_p":
-        perm = extension_permutation(P, promote, cap=cap)
-        perm = permutation_power(perm, P.p)
-    elif operator in OPERATORS:
-        perm = extension_permutation(P, OPERATORS[operator], cap=cap)
-    else:
+    if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
+    perm = OPERATORS[operator](P, cap)
     return OrbitReport(operator, cycle_lengths(perm), len(perm))
 
 

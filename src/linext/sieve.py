@@ -22,10 +22,11 @@ from .posets import (
     shape_poset,
 )
 from .promotion import (
-    cycle_lengths,
     dihedral_order,
     evacuate,
     extension_permutation,
+    orbit_structure,
+    permutation_power,
     promote,
 )
 from .ratfunc import (
@@ -132,10 +133,14 @@ def F_poly(s: Shape, method: str = "auto", cap: int = DEFAULT_EXTENSION_CAP) -> 
     return f_poly_sum(s, cap=cap)
 
 
+def _fixed(lengths: tuple, d: int) -> int:
+    """e_d = #{f : f = f promote^d}: the points on cycles whose length divides d."""
+    return sum(n for n in lengths if d % n == 0)
+
+
 def fixed_count(P: Poset, d: int, cap: int = DEFAULT_EXTENSION_CAP) -> int:
     """e_d(P) = #{f : f = f promote^d}, via the orbit census."""
-    perm = extension_permutation(P, promote, cap=cap)
-    return sum(n for n in cycle_lengths(perm) if d % n == 0)
+    return _fixed(orbit_structure(P, "promote", cap=cap).cycle_lengths, d)
 
 
 def eval_at_root(F: IntPoly, p: int, d: int) -> int:
@@ -194,23 +199,17 @@ def cyclic_sieving_check(m: int, n: int, cap: int = DEFAULT_EXTENSION_CAP) -> li
     p = m * n
     shift = n * (m * (m - 1) // 2)
     F = pnorm(f_poly_hook(s)[shift:])
-    perm = extension_permutation(P, promote, cap=cap)
-    lengths = cycle_lengths(perm)
-    rows = []
-    for d in range(1, p + 1):
-        fixed = sum(L for L in lengths if d % L == 0)
-        rows.append(SieveRow(d=d, fixed=fixed, f_at_root=eval_at_root(F, p, d)))
-    return rows
+    return [
+        SieveRow(d=d, fixed=fixed, f_at_root=eval_at_root(F, p, d))
+        for d, fixed in fixed_point_table(P, cap=cap)
+    ]
 
 
 def fixed_point_table(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     """(d, e_d) for d = 1..p; for shapes without a known closed form this is
     exploratory output only."""
-    perm = extension_permutation(P, promote, cap=cap)
-    lengths = cycle_lengths(perm)
-    return [
-        (d, sum(L for L in lengths if d % L == 0)) for d in range(1, P.p + 1)
-    ]
+    lengths = orbit_structure(P, "promote", cap=cap).cycle_lengths
+    return [(d, _fixed(lengths, d)) for d in range(1, P.p + 1)]
 
 
 def _transpose_map(s: Shape):
@@ -267,17 +266,12 @@ def special_shape_check(
     P = shape_poset(s)
     p = P.p
     perm = extension_permutation(P, promote, cap=cap)
-    power_ok = True
+    if kind == "staircase":
+        target = {w: transpose_extension(s, w) for w in perm}
+    else:
+        target = {w: w for w in perm}
+    power_ok = permutation_power(perm, p) == target
     evac_ok = True
-    for w in perm:
-        x = w
-        for _ in range(p):
-            x = perm[x]
-        if kind == "staircase":
-            if x != transpose_extension(s, w):
-                power_ok = False
-        elif x != w:
-            power_ok = False
     if kind == "rectangle":
         m, n = len(rows), rows[0]
         cells = s.cells()

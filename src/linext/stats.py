@@ -21,7 +21,7 @@ from .posets import (
     maximal_chains,
     restrict,
 )
-from .promotion import evacuate, tau_word
+from .promotion import evacuate, odd_falling_word, tau_word
 from .ratfunc import IntPoly, pnorm
 
 
@@ -165,11 +165,7 @@ def domino_to_selfevac(P: Poset, word: Word) -> Word:
     """
     if not is_dual_domino_word(P, word):
         raise ValueError("word is not a dual domino linear extension")
-    p = P.p
-    m = p - 1 if p % 2 == 0 else p - 2
-    for top in range(1, m + 1, 2):
-        word = tau_word(P, word, range(top, 0, -1))
-    return word
+    return tau_word(P, word, odd_falling_word(P.p - 1))
 
 
 def extension_parity(word: Word) -> int:

@@ -26,6 +26,8 @@ from .promotion import (
     dual_evacuate,
     evacuate,
     extension_permutation,
+    gamma_word,
+    odd_falling_word,
     permutation_power,
     promote,
     promote_slide,
@@ -48,32 +50,31 @@ def _corpus(limit: int = 8) -> dict:
     return corpus.corpus_p_le(limit)
 
 
+def _monoid_identities(P: Poset) -> dict:
+    """The identities among promote, evac and dual_evac as permutations of L(P)."""
+    pr = extension_permutation(P, promote)
+    ev = extension_permutation(P, evacuate)
+    dev = extension_permutation(P, dual_evacuate)
+    ident = {w: w for w in pr}
+    inv_pr = {v: k for k, v in pr.items()}
+    return {
+        "evac involution": compose(ev, ev) == ident,
+        "dual evac involution": compose(dev, dev) == ident,
+        "promote^p = evac dual_evac": permutation_power(pr, P.p) == compose(ev, dev),
+        "promote evac = evac promote^-1": compose(pr, ev) == compose(ev, inv_pr),
+    }
+
+
 def verify_thm1(posets: dict = None) -> list:
     """epsilon^2 = 1, promote^p = epsilon epsilon*, and the braid-type
     relation promote epsilon = epsilon promote^{-1} on L(P)."""
     posets = posets or _corpus(8)
     out = []
     for name, P in posets.items():
-        ev = extension_permutation(P, evacuate)
-        dev = extension_permutation(P, dual_evacuate)
-        pr = extension_permutation(P, promote)
-        ident = {w: w for w in pr}
-        out.append(
-            CheckResult(f"{name}: evac involution", compose(ev, ev) == ident)
-        )
-        out.append(
-            CheckResult(
-                f"{name}: promote^p = evac dual_evac",
-                permutation_power(pr, P.p) == compose(ev, dev),
-            )
-        )
-        inv_pr = {v: k for k, v in pr.items()}
-        out.append(
-            CheckResult(
-                f"{name}: promote evac = evac promote^-1",
-                compose(pr, ev) == compose(ev, inv_pr),
-            )
-        )
+        ids = _monoid_identities(P)
+        for key in ("evac involution", "promote^p = evac dual_evac",
+                    "promote evac = evac promote^-1"):
+            out.append(CheckResult(f"{name}: {key}", ids[key]))
     return out
 
 
@@ -239,21 +240,10 @@ def verify_lemma1(posets: dict = None) -> list:
     """gamma^2 = 1, delta^p = gamma gamma*, delta gamma = gamma delta^{-1}
     for the word operators on L(P)."""
     posets = posets or _corpus(7)
-    out = []
-    for name, P in posets.items():
-        delta = extension_permutation(P, promote)
-        gamma = extension_permutation(P, evacuate)
-        gamma_star = extension_permutation(P, dual_evacuate)
-        ident = {w: w for w in delta}
-        inv_delta = {v: k for k, v in delta.items()}
-        ok = (
-            compose(gamma, gamma) == ident
-            and compose(gamma_star, gamma_star) == ident
-            and permutation_power(delta, P.p) == compose(gamma, gamma_star)
-            and compose(delta, gamma) == compose(gamma, inv_delta)
-        )
-        out.append(CheckResult(f"{name}: monoid identities", ok))
-    return out
+    return [
+        CheckResult(f"{name}: monoid identities", all(_monoid_identities(P).values()))
+        for name, P in posets.items()
+    ]
 
 
 def verify_lemma2(posets: dict = None) -> list:
@@ -262,33 +252,15 @@ def verify_lemma2(posets: dict = None) -> list:
     posets = posets or _corpus(6)
     out = []
     for name, P in posets.items():
-        p = P.p
         exts = list(linear_extensions(P))
         ok = True
-        for j in range(1, (p - 1) // 2 + 2):
-            if 2 * j - 1 > p - 1:
-                break
-            odd = [k for k in range(1, 2 * j, 2)]
-
-            def lhs_word(w):
-                for top in odd:
-                    w = tau_word(P, w, range(top, 0, -1))  # delta*_top
-                return w
-
-            def rhs_tail(w):
-                for top in range(2 * j - 1, 0, -1):
-                    w = tau_word(P, w, range(1, top + 1))  # delta_top
-                return w
-
-            def cond_ii(w):
-                return tau_word(P, w, odd)
-
-            for u in exts:
-                for v in exts:
-                    lhs = lhs_word(u) == rhs_tail(lhs_word(v))
-                    rhs = cond_ii(u) == v
-                    if lhs != rhs:
-                        ok = False
+        for j in range(1, P.p // 2 + 1):  # 2j - 1 <= p - 1
+            # u d*_1 d*_3 ... d*_{2j-1}; v's image then goes on by d_{2j-1} ... d_1
+            left = {u: tau_word(P, u, odd_falling_word(2 * j - 1)) for u in exts}
+            right = {v: tau_word(P, left[v], gamma_word(2 * j)) for v in exts}
+            paired = {u: tau_word(P, u, range(1, 2 * j, 2)) for u in exts}
+            if any((left[u] == right[v]) != (paired[u] == v) for u in exts for v in exts):
+                ok = False
         out.append(CheckResult(f"{name}: lemma 2 equivalence", ok))
     return out
 

@@ -34,7 +34,6 @@ from linext.promotion import (
     principal_chain,
     promote,
     promote_slide,
-    promote_word,
     promotion_blocks,
     rotate_blocks,
     trajectory,
@@ -140,7 +139,7 @@ def test_c06_promotion_cross_check_and_block_example():
     for name, P in corpus_p_le(8).items():
         for w in linear_extensions(P):
             slid, _ = promote_slide(P, w)
-            assert slid == promote_word(P, w), name
+            assert slid == promote(P, w), name
     # the worked example: z = cabdfeghjilk with c<f<h<j forced; rotating the
     # blocks (cabd)(feg)(h)(jilk) one step left concatenates to abdcegfhilkj
     letters = "abcdefghijkl"
@@ -156,7 +155,7 @@ def test_c06_promotion_cross_check_and_block_example():
     ]
     out = "".join(letters[t] for t in rotate_blocks(blocks))
     assert out == "abdcegfhilkj"
-    assert rotate_blocks(blocks) == promote_word(P, z)
+    assert rotate_blocks(blocks) == promote(P, z)
 
 
 def test_c07_principal_chain_is_trajectory_after_evacuation():

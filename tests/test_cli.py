@@ -153,3 +153,33 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "2"
+
+
+def test_cli_sieve_check_rejects_non_rectangles(capsys):
+    for spec in ("shape:3,2", "shifted:3,1"):
+        code, out, err = run_cli(["sieve", "check", "--shape", spec], capsys)
+        assert code == 2, spec
+        assert out == ""
+        assert "rectangle" in err
+
+
+def test_cli_stats_print_input_ids(tmp_path, capsys):
+    f = tmp_path / "rev.poset"
+    f.write_text("p=3\n2<1\n1<0\n")
+    code, out, _ = run_cli(["stats", "selfevac", "--poset", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1:] == ["2,1,0"]
+    code, out, _ = run_cli(["stats", "domino", "--poset", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1:] == [" | 2 | 0,1,2"]
+    f.write_text("p=4\n3<1\n2<0\n")
+    code, out, _ = run_cli(["stats", "selfevac", "--poset", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1:] == ["2,3,1,0", "3,2,0,1"]
+    code, out, _ = run_cli(["stats", "domino", "--poset", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1:] == [" | 0,2 | 0,1,2,3", " | 1,3 | 0,1,2,3"]
+
+
+def test_cli_hecke_cw_rejects_non_permutations(capsys):
+    for w in ("9999", "123", "1224", "12345"):
+        code, out, err = run_cli(["hecke", "cw", "--n", "4", "--w", w], capsys)
+        assert code == 2, w
+        assert out == ""
+        assert "permutation" in err

@@ -15,7 +15,6 @@ from linext.hecke import (
     divisibility_report,
     e_i,
     evacuation_element,
-    longest_element_word,
     perm_cycles,
     perm_length,
     reduced_word,
@@ -24,6 +23,7 @@ from linext.hecke import (
     t_w,
     t_w_from_word,
 )
+from linext.promotion import gamma_word
 from linext.ratfunc import RF_ONE, RF_Q, RF_ZERO, RatFunc, ppow, qm1_order
 
 S4 = list(permutations((1, 2, 3, 4)))
@@ -47,7 +47,7 @@ def test_reduced_word_reconstructs(wl):
 
 
 def test_longest_element_word():
-    word = longest_element_word(4)
+    word = gamma_word(4)
     assert len(word) == 6
     elt = t_w_from_word(4, word)
     assert set(elt.terms) == {(4, 3, 2, 1)}

@@ -27,7 +27,6 @@ from linext.promotion import (
     principal_chain,
     promote,
     promote_slide,
-    promote_word,
     promotion_blocks,
     rotate_blocks,
     tau,
@@ -77,7 +76,7 @@ def test_block_rotation_example():
     assert ["".join(letters[t] for t in b) for b in blocks] == [
         "cabd", "feg", "h", "jilk"
     ]
-    zd = promote_word(P, z)
+    zd = promote(P, z)
     # concatenating the rotated blocks (abdc)(egf)(h)(ilkj)
     assert "".join(letters[t] for t in zd) == "abdcegfhilkj"
     assert rotate_blocks(blocks) == zd
@@ -102,7 +101,7 @@ def test_slide_route_equals_word_route(name):
     P = CORPUS[name]
     for w in linear_extensions(P):
         slid, chain_ = promote_slide(P, w)
-        assert slid == promote_word(P, w) == promote(P, w)
+        assert slid == promote(P, w) == promote(P, w)
         # the promotion chain starts at the first element and is saturated
         assert chain_[0] == w[0]
         for a, b in zip(chain_, chain_[1:]):

@@ -1,7 +1,8 @@
 """Batch command-line surface.
 
 Exit codes: 0 all requested computations/verifications passed, 1 a
-verification failed, 2 parse/usage error, 3 a size cap was breached.
+verification failed or an internal arithmetic invariant broke (printed as
+"internal error: ..."), 2 parse/usage error, 3 a size cap was breached.
 Output is deterministic (sorted emission).
 """
 
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
     except (CapExceeded, HeckeCapExceeded) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

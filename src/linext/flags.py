@@ -61,7 +61,12 @@ def all_subspaces(n: int, q: int) -> list:
         for s in frontier:
             for v in vecs:
                 if v not in s:
-                    bigger = span(list(s) + [v], n, q)
+                    # s + <v> is the union of the cosets s + c v
+                    bigger = frozenset(
+                        tuple((x + c * y) % q for x, y in zip(w, v))
+                        for w in s
+                        for c in range(q)
+                    )
                     if bigger not in subs:
                         subs.add(bigger)
                         new.append(bigger)

@@ -22,6 +22,7 @@ from .ratfunc import (
     RatFunc,
     padd,
     pmul,
+    pneg,
     pnorm,
     ppow,
     pscale,
@@ -218,7 +219,6 @@ def e_i(n: int, i: int) -> HeckeElt:
     )
 
 
-@lru_cache(maxsize=None)
 def _expand_numerators(n: int) -> dict:
     """Expand prod (q - 1 - 2 T_i) over the evacuation word gamma of w0.
 
@@ -229,41 +229,50 @@ def _expand_numerators(n: int) -> dict:
         out = {}
 
         def acc(w, poly):
-            if poly:
-                out[w] = padd(out.get(w, ()), poly)
+            out[w] = padd(out.get(w, ()), poly)
 
         for u, poly in terms.items():
-            # (q - 1) * T_u term of the factor
-            acc(u, pmul(poly, Q_MINUS_1))
-            # -2 T_u T_i term
+            if not poly:
+                continue
+            qm1 = pmul(poly, Q_MINUS_1)
             v = apply_s_right(u, i)
             if has_right_ascent(u, i):
+                # T_u (q - 1 - 2 T_i) = (q - 1) T_u - 2 T_{u s_i}
+                acc(u, qm1)
                 acc(v, pscale(poly, -2))
             else:
-                acc(v, pscale(pmul(poly, (0, 1)), -2))
-                acc(u, pscale(pmul(poly, Q_MINUS_1), -2))
+                # T_u T_i = q T_{u s_i} + (q - 1) T_u, so the factor gives
+                # -(q - 1) T_u - 2q T_{u s_i}
+                acc(u, pneg(qm1))
+                acc(v, pscale((0,) + poly, -2))
         terms = out
     return terms
 
 
-def evacuation_element(n: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeElt:
-    """E_1...E_{n-1} E_1...E_{n-2} ... E_1 expanded in the T_w basis."""
+@lru_cache(maxsize=None)
+def _coefficients(n: int) -> dict:
+    """{w: c_w(q)} in canonical form, expanded and reduced once per n."""
+    den = ppow(Q_PLUS_1, n * (n - 1) // 2)
+    return {w: RatFunc.make(poly, den) for w, poly in _expand_numerators(n).items()}
+
+
+def _check_n(n: int, cap: int) -> None:
     if n > cap:
         raise HeckeCapExceeded(f"n = {n} exceeds the Hecke cap {cap}")
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return HeckeElt.unit(1)
-    den = ppow(Q_PLUS_1, n * (n - 1) // 2)
-    terms = {
-        w: RatFunc.make(poly, den)
-        for w, poly in _expand_numerators(n).items()
-    }
-    return HeckeElt(n, terms)
+
+
+def evacuation_element(n: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeElt:
+    """E_1...E_{n-1} E_1...E_{n-2} ... E_1 expanded in the T_w basis."""
+    _check_n(n, cap)
+    # HeckeElt copies the dict, so callers cannot change the cached one.
+    return HeckeElt(n, _coefficients(n))
 
 
 def c_w(n: int, w: Perm, cap: int = DEFAULT_HECKE_CAP) -> RatFunc:
-    return evacuation_element(n, cap=cap).coeff(tuple(w))
+    _check_n(n, cap)
+    return _coefficients(n).get(tuple(w), RF_ZERO)
 
 
 def scalar_product(g: HeckeElt, h: HeckeElt) -> RatFunc:
@@ -294,11 +303,12 @@ def divisibility_report(n: int, cap: int = DEFAULT_HECKE_CAP) -> list:
 
     bound = n - kappa(w-hat); zero coefficients pass trivially.
     """
-    elt = evacuation_element(n, cap=cap)
+    _check_n(n, cap)
+    coeffs = _coefficients(n)
     rows = []
     for w in permutations(range(1, n + 1)):
         bound = n - perm_cycles(reversal(w))
-        c = elt.coeff(w)
+        c = coeffs.get(w, RF_ZERO)
         if not c:
             rows.append((w, bound, None, True, False))
         else:

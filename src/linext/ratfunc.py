@@ -5,6 +5,13 @@ the empty tuple is the zero polynomial.  Rational functions are kept in a
 canonical reduced form: primitive integer numerator and denominator, the
 denominator with positive leading coefficient, and the rational content
 folded into a scalar factor.
+
+Polynomial division is integer-only: `pdiv_exact` divides in Z[x] and
+raises `InexactDivision` when the quotient is not an integer polynomial,
+and factors (q - r) come off by integer synthetic division (`deflate`).
+A denominator that is +-(q+1)^k, as every Hecke coefficient has, is
+reduced by stripping (q+1) from the numerator; any other goes through
+`pgcd`.  `Fraction` appears only in the scalar factor and in evaluation.
 """
 
 from __future__ import annotations
@@ -99,30 +106,59 @@ def pprim(a: IntPoly) -> IntPoly:
     return tuple(x // g for x in a)
 
 
+class InexactDivision(ArithmeticError):
+    """An exact polynomial division whose quotient is not in Z[x]."""
+
+
 def pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact division a / b; raises if it does not divide over Q[x]."""
+    """Exact division a / b in Z[x]; raises InexactDivision otherwise.
+
+    Each step of the long division divides by b's leading coefficient with
+    divmod.  When a = b * c with c in Z[x], the steps produce exactly the
+    coefficients of c, so the result is the quotient over Q whenever that
+    quotient is integral.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return ZERO_POLY
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    rem = list(a)
     db = pdeg(b)
-    lead = Fraction(b[-1])
+    quo = [0] * max(len(a) - db, 0)
+    lead = b[-1]
     for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i]:
-            q = rem[i] / lead
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise InexactDivision("quotient not integral")
             quo[i - db] = q
             for j, y in enumerate(b):
                 rem[i - db + j] -= q * y
     if any(rem):
-        raise ValueError("inexact polynomial division")
-    out = []
-    for q in quo:
-        if q.denominator != 1:
-            raise ValueError("quotient not integral")
-        out.append(int(q))
-    return pnorm(out)
+        raise InexactDivision("inexact polynomial division")
+    return pnorm(quo)
+
+
+def deflate(a: IntPoly, r: int, limit: int | None = None) -> tuple:
+    """Divide a by (x - r) while it divides evenly, at most `limit` times.
+
+    Integer synthetic division; returns (m, a / (x - r)^m).
+    """
+    if not a:
+        raise ValueError("zero polynomial has every root")
+    m = 0
+    while m != limit and len(a) > 1:
+        quo = [0] * (len(a) - 1)
+        acc = a[-1]
+        for i in range(len(a) - 2, -1, -1):
+            quo[i] = acc
+            acc = a[i] + r * acc
+        if acc:
+            break
+        a = tuple(quo)
+        m += 1
+    return m, a
 
 
 def prem_monic(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -155,7 +191,11 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q[x] (positive leading coefficient)."""
+    """Primitive gcd over Q[x] (positive leading coefficient).
+
+    Being primitive, it divides a and b in Z[x] (Gauss's lemma), so
+    pdiv_exact by it never fails.
+    """
     a, b = pprim(a), pprim(b)
     while b:
         if pdeg(a) < pdeg(b):
@@ -168,13 +208,31 @@ def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def root_multiplicity(a: IntPoly, r: int) -> int:
     """Multiplicity of the integer root r (multiplicity of (x - r))."""
-    if not a:
-        raise ValueError("zero polynomial has every root")
-    m = 0
-    while peval(a, r) == 0:
-        a = pdiv_exact(a, (-r, 1))
-        m += 1
-    return m
+    return deflate(a, r)[0]
+
+
+@lru_cache(maxsize=None)
+def _qp1_powers(k: int) -> tuple:
+    """((q+1)^k, -(q+1)^k)."""
+    p = ppow(Q_PLUS_1, k)
+    return p, pneg(p)
+
+
+def _cancel(num: IntPoly, den: IntPoly) -> tuple:
+    """(num / g, den / g) for g = pgcd(num, den); num must be nonzero.
+
+    When den = +-(q+1)^k, g is the (q+1)-part of num up to (q+1)^k, so it
+    is stripped by synthetic division at q = -1 with no gcd computed.
+    """
+    k = pdeg(den)
+    powers = _qp1_powers(k)
+    if den in powers:
+        m, num = deflate(num, -1, k)
+        return num, _qp1_powers(k - m)[powers.index(den)]
+    g = pgcd(num, den)
+    if pdeg(g) > 0:
+        return pdiv_exact(num, g), pdiv_exact(den, g)
+    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +290,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if not num or coef == 0:
             return RF_ZERO
-        g = pgcd(num, den)
-        if pdeg(g) > 0:
-            num = pdiv_exact(num, g)
-            den = pdiv_exact(den, g)
+        num, den = _cancel(num, den)
         cn = pcontent(num)
         if num[-1] < 0:
             cn = -cn
@@ -297,14 +352,8 @@ class RatFunc:
         if not self or not other:
             return RF_ZERO
         # Cross-cancel before multiplying to keep degrees small.
-        n1, d2 = self.num, other.den
-        g = pgcd(n1, d2)
-        if pdeg(g) > 0:
-            n1, d2 = pdiv_exact(n1, g), pdiv_exact(d2, g)
-        n2, d1 = other.num, self.den
-        g = pgcd(n2, d1)
-        if pdeg(g) > 0:
-            n2, d1 = pdiv_exact(n2, g), pdiv_exact(d1, g)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
         return RatFunc.make(pmul(n1, n2), pmul(d1, d2), self.coef * other.coef)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -365,13 +414,8 @@ def qm1_order(a: RatFunc) -> int:
 
 def _factored(p: IntPoly) -> tuple:
     """Split off (q-1)^a and (q+1)^b factors: returns (a, b, rest)."""
-    a = b = 0
-    while p and peval(p, 1) == 0:
-        p = pdiv_exact(p, Q_MINUS_1)
-        a += 1
-    while p and peval(p, -1) == 0:
-        p = pdiv_exact(p, Q_PLUS_1)
-        b += 1
+    a, p = deflate(p, 1)
+    b, p = deflate(p, -1)
     return a, b, p
 
 

@@ -19,6 +19,7 @@ from linext.io import (
     parse_word,
 )
 from linext.posets import count_extensions
+from linext.ratfunc import InexactDivision
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -183,3 +184,16 @@ def test_cli_hecke_cw_rejects_non_permutations(capsys):
         assert code == 2, w
         assert out == ""
         assert "permutation" in err
+
+
+def test_cli_internal_arithmetic_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(n, cap):
+        raise InexactDivision("inexact polynomial division")
+
+    monkeypatch.setattr("linext.hecke.evacuation_element", broken)
+    code, out, err = run_cli(["hecke", "cw", "--n", "3", "--w", "321"], capsys)
+    assert code == 1 and out == ""
+    assert "internal error" in err and "inexact polynomial division" in err
+    # a real usage error is still exit 2
+    code, out, err = run_cli(["hecke", "cw", "--n", "3", "--w", "9999"], capsys)
+    assert code == 2 and "internal error" not in err

@@ -77,9 +77,12 @@ def test_cell_sizes_are_q_powers_of_length():
         assert size == 2 ** perm_length(w)
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_hecke_consistency(n, q):
     rep = hecke_consistency(n, q)
     assert rep.ok, rep.mismatches
     # every permutation appears as a cell, including empty coefficient cells
-    assert len(rep.cells) == [1, 1, 2, 6][n]
+    assert len(rep.cells) == [1, 1, 2, 6, 24][n]
+    # the cells partition the [n]_q! flags
+    q_factorial = {(2, 2): 3, (2, 3): 4, (3, 2): 21, (3, 3): 52, (4, 2): 315}
+    assert sum(size for size, _ in rep.cells.values()) == q_factorial[n, q]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linext.hecke import (
+    DEFAULT_HECKE_CAP,
     HeckeCapExceeded,
     HeckeElt,
     c_w,
@@ -142,6 +143,23 @@ def test_witness_2314_is_not_tight():
             in divisibility_report(4)}
     bound, order = rows[(2, 3, 1, 4)]
     assert bound == 2 and order == 4
+
+
+def test_default_cap_n7_cid_and_divisibility():
+    n = DEFAULT_HECKE_CAP
+    assert n == 7
+    assert check_thm_cid(n)
+    rows = divisibility_report(n)
+    assert len(rows) == 5040
+    for w, bound, order, ok, tight in rows:
+        assert bound == n - perm_cycles(reversal(w))
+        assert ok and (order is None or order >= bound)
+
+
+def test_evacuation_element_is_a_fresh_copy():
+    evacuation_element(4).terms.clear()
+    assert len(evacuation_element(4).terms) == 20
+    assert c_w(4, (1, 2, 3, 4)) == cid_closed_form(4)
 
 
 def test_cap_enforced():

@@ -7,19 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linext.ratfunc import (
+    Q_PLUS_1,
     RF_ONE,
     RF_Q,
     RF_ZERO,
+    InexactDivision,
     RatFunc,
     cyclotomic,
+    deflate,
     divisible_by_qm1,
     format_factored,
     padd,
+    pcontent,
     pdeg,
     pdiv_exact,
     peval,
     pgcd,
     pmul,
+    pneg,
     pnorm,
     poly_str,
     ppow,
@@ -66,6 +71,48 @@ def test_pdiv_exact_roundtrip(a, b):
 def test_pdiv_exact_rejects_inexact():
     with pytest.raises((ArithmeticError, ValueError)):
         pdiv_exact((1, 1), (0, 1))  # (x+1)/x
+
+
+def test_pdiv_exact_raises_inexact_division():
+    with pytest.raises(InexactDivision, match="not integral"):
+        pdiv_exact((1,), (2,))
+    with pytest.raises(InexactDivision, match="inexact"):
+        pdiv_exact((1, 1), (0, 1))
+    assert pdiv_exact((2, 6, 4), (2, 2)) == (1, 2)  # a non-monic divisor
+
+
+@given(polys, st.integers(-3, 3), st.integers(0, 4))
+def test_deflate_strips_the_root(a, r, m):
+    if not a:
+        return
+    got, rest = deflate(pmul(a, ppow((-r, 1), m)), r)
+    assert got >= m and peval(rest, r) != 0
+    assert pmul(rest, ppow((-r, 1), got)) == pmul(a, ppow((-r, 1), m))
+    assert deflate(pmul(a, ppow((-r, 1), m)), r, limit=m) == (m, a)
+
+
+@given(
+    polys,
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.sampled_from((1, -1)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+def test_make_over_powers_of_q_plus_1(a, j, k, sign, c):
+    if not a or c == 0:
+        return
+    num = pmul(a, ppow(Q_PLUS_1, j))
+    den = ppow(Q_PLUS_1, k)
+    if sign < 0:
+        den = pneg(den)
+    r = RatFunc.make(num, den, c)
+    for x in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
+        assert r.eval(x) == c * Fraction(peval(num, x)) / peval(den, x)
+    assert pcontent(r.num) == pcontent(r.den) == 1
+    assert r.num[-1] > 0 and r.den[-1] > 0
+    assert pgcd(r.num, r.den) == (1,)
+    # a non-primitive denominator takes the pgcd route to the same form
+    assert RatFunc.make(pmul(num, (3,)), pmul(den, (3,)), c) == r
 
 
 @given(polys, polys)

@@ -13,6 +13,10 @@ def main() -> int:
     ap.add_argument("suites", nargs="*", default=[], help="suite ids (default all)")
     ap.add_argument("--verbose", action="store_true", help="print every check")
     args = ap.parse_args()
+    unknown = [sid for sid in args.suites if sid not in SUITES]
+    if unknown:
+        ap.error(f"unknown suite id(s) {', '.join(unknown)}; "
+                 f"valid ids: {', '.join(sorted(SUITES))}")
 
     ids = args.suites or sorted(SUITES)
     any_fail = False

@@ -18,8 +18,9 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from . import posets
 from .posets import Poset, _mask_members, poset_from_covers
-from .promotion import delta_word, gamma_star_word, gamma_word
+from .promotion import delta_word, dihedral_group_order, gamma_star_word, gamma_word
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,7 @@ def graded_from_poset(P: Poset) -> GradedPoset:
 
 def maximal_chains(Q: GradedPoset) -> list:
     """All maximal chains bottom..top, sorted; each has height+1 elements."""
-    P = Q.poset
-    out = []
-    stack = [(Q.bottom,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == Q.top:
-            out.append(path)
-            continue
-        for t in P.up[path[-1]]:
-            stack.append(path + (t,))
-    out.sort()
-    return out
+    return posets.maximal_chains(Q.poset)
 
 
 def is_slender(Q: GradedPoset) -> bool:
@@ -262,23 +252,11 @@ def signed_delta_power(w: SignedPerm) -> SignedPerm:
 
 def signed_group_order(n: int) -> int:
     """Order of <gamma, gamma*> acting on all signed permutations of size n."""
-    domain = sorted(all_signed_perms(n))
-    index = {w: i for i, w in enumerate(domain)}
-    g1 = tuple(index[signed_gamma(w)] for w in domain)
-    g2 = tuple(index[signed_gamma_star(w)] for w in domain)
-    ident = tuple(range(len(domain)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in (g1, g2):
-                y = tuple(g[i] for i in x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return len(seen)
+    domain = list(all_signed_perms(n))
+    return dihedral_group_order(
+        {w: signed_gamma(w) for w in domain},
+        {w: signed_gamma_star(w) for w in domain},
+    )
 
 
 # ---------------------------------------------------------------------------

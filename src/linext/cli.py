@@ -13,9 +13,10 @@ import json
 import sys
 
 from . import chains, corpus, flags, hecke, promotion, sieve, stats, verify
-from .hecke import HeckeCapExceeded
+from .hecke import DEFAULT_HECKE_CAP
 from .io import ParseError, format_word, load_poset, parse_shape, parse_word
 from .posets import (
+    DEFAULT_EXTENSION_CAP,
     CapExceeded,
     count_extensions,
     linear_extensions,
@@ -119,7 +120,7 @@ def cmd_stats(args):
         return EXIT_OK
     original = sorted(range(P.p), key=relabel.__getitem__)  # Q's id -> P's id
     if args.stat == "domino":
-        tableaux = stats.dual_domino_tableaux(Q)
+        tableaux = stats.dual_domino_tableaux(Q, cap=args.cap)
         rows = [
             (" | ".join(",".join(map(str, sorted(original[t] for t in ideal)))
                         for ideal in tableau),)
@@ -285,50 +286,67 @@ def cmd_verify(args):
     return _emit_checks(results, args.format)
 
 
+def _global_options(suppress: bool) -> argparse.ArgumentParser:
+    """The options accepted on either side of the verb.  After the verb they
+    default to SUPPRESS, so that a value given before the verb stands."""
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--format", choices=("tsv", "json"), default=default("tsv"))
+    g.add_argument("--cap", type=int, default=default(DEFAULT_EXTENSION_CAP),
+                   help="cap on e(P) and on the dual domino tableaux")
+    g.add_argument("--hecke-cap", type=int, default=default(DEFAULT_HECKE_CAP))
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="linext",
         description="Promotion and evacuation on linear extensions, exactly.",
+        parents=[_global_options(suppress=False)],
     )
-    ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    ap.add_argument("--cap", type=int, default=200_000, help="extension cap")
-    ap.add_argument("--hecke-cap", type=int, default=7)
     sub = ap.add_subparsers(dest="verb", required=True)
+    after_verb = _global_options(suppress=True)
+
+    def add_verb(name, **kwargs):
+        return sub.add_parser(name, parents=[after_verb], **kwargs)
 
     def poset_args(p):
         p.add_argument("--poset", help="poset file or corpus:NAME")
         p.add_argument("--shape", help="shape spec like shape:3,3 or shifted:3,1")
 
-    p = sub.add_parser("le", help="list linear extensions")
+    p = add_verb("le", help="list linear extensions")
     poset_args(p)
     p.set_defaults(func=cmd_le)
 
-    p = sub.add_parser("count", help="count linear extensions")
+    p = add_verb("count", help="count linear extensions")
     poset_args(p)
     p.set_defaults(func=cmd_count)
 
     for verb, fn in (("promote", cmd_promote), ("evacuate", cmd_evacuate)):
-        p = sub.add_parser(verb)
+        p = add_verb(verb)
         poset_args(p)
         p.add_argument("--word", required=True, help="comma-separated word")
         p.add_argument("--dual", action="store_true")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("orbits")
+    p = add_verb("orbits")
     poset_args(p)
-    p.add_argument("--op", choices=("promote", "evacuate", "promote_p"), default="promote")
+    p.add_argument("--op", choices=sorted(promotion.OPERATORS), default="promote")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("dihedral")
+    p = add_verb("dihedral")
     poset_args(p)
     p.set_defaults(func=cmd_dihedral)
 
-    p = sub.add_parser("stats")
+    p = add_verb("stats")
     p.add_argument("stat", choices=("wprime", "domino", "selfevac", "signbalance"))
     poset_args(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("sieve")
+    p = add_verb("sieve")
     p.add_argument("action", choices=("F", "check", "special", "table"))
     p.add_argument("--shape", required=True)
     p.add_argument("--kind", default="rectangle",
@@ -336,28 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "shifted_double_staircase", "shifted_trapezoid"))
     p.set_defaults(func=cmd_sieve)
 
-    p = sub.add_parser("hecke")
+    p = add_verb("hecke")
     p.add_argument("action", choices=("cw", "verify"))
     p.add_argument("what", nargs="?", choices=("cid", "div"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", help="one-line permutation like 2413")
     p.set_defaults(func=cmd_hecke)
 
-    p = sub.add_parser("slender")
+    p = add_verb("slender")
     p.add_argument("posetfile")
     p.set_defaults(func=cmd_slender)
 
-    p = sub.add_parser("crosspoly")
+    p = add_verb("crosspoly")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_crosspoly)
 
-    p = sub.add_parser("flags")
+    p = add_verb("flags")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--verify-hecke", action="store_true")
     p.set_defaults(func=cmd_flags)
 
-    p = sub.add_parser("verify")
+    p = add_verb("verify")
     p.add_argument("id", choices=sorted(verify.SUITES))
     p.set_defaults(func=cmd_verify)
 
@@ -375,7 +393,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapExceeded, HeckeCapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ArithmeticError as exc:

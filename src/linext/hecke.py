@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from .posets import CapExceeded
 from .promotion import gamma_word
 from .ratfunc import (
     ONE_POLY,
@@ -32,10 +33,6 @@ from .ratfunc import (
 Perm = tuple  # tuple[int, ...], one-line notation with values 1..n
 
 DEFAULT_HECKE_CAP = 7
-
-
-class HeckeCapExceeded(RuntimeError):
-    pass
 
 
 def identity_perm(n: int) -> Perm:
@@ -170,12 +167,6 @@ class HeckeElt:
                 acc(u, c * qm1)
         return HeckeElt(self.n, out)
 
-    def mul_e_left(self, i: int) -> "HeckeElt":
-        qm1 = RatFunc.from_poly(Q_MINUS_1)
-        inv_qp1 = RatFunc.make(ONE_POLY, Q_PLUS_1)
-        two = RatFunc.from_rational(2)
-        return (self.scale(qm1) - self.mul_gen_left(i).scale(two)).scale(inv_qp1)
-
     def mul_e_right(self, i: int) -> "HeckeElt":
         """Right multiplication by E_i = (q - 1 - 2 T_i) / (q + 1)."""
         qm1 = RatFunc.from_poly(Q_MINUS_1)
@@ -258,7 +249,7 @@ def _coefficients(n: int) -> dict:
 
 def _check_n(n: int, cap: int) -> None:
     if n > cap:
-        raise HeckeCapExceeded(f"n = {n} exceeds the Hecke cap {cap}")
+        raise CapExceeded(f"n = {n} exceeds the Hecke cap {cap}")
     if n < 1:
         raise ValueError("n must be positive")
 

@@ -172,19 +172,22 @@ def disjoint_union(a: Poset, b: Poset) -> Poset:
 
 
 def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
-    """Yield every linear extension exactly once, in lexicographic word order."""
+    """Yield every linear extension exactly once, in lexicographic word order.
+
+    Unless `cap` is None, e(P) is counted first, and CapExceeded is raised
+    before the first word when it exceeds `cap`.
+    """
+    if cap is not None:
+        n = count_extensions(P)
+        if n > cap:
+            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     p = P.p
     full = (1 << p) - 1
     geq = P.geq_mask
     word = []
-    count = 0
 
     def rec(mask: int):
-        nonlocal count
         if mask == full:
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceeded(f"more than {cap} linear extensions")
             yield tuple(word)
             return
         for t in range(p):

@@ -12,11 +12,9 @@ from functools import lru_cache
 from math import lcm
 
 from .posets import (
-    CapExceeded,
     DEFAULT_EXTENSION_CAP,
     Poset,
     Word,
-    count_extensions,
     conjugate_extension,
     dual_poset,
     linear_extensions,
@@ -218,15 +216,9 @@ class OrbitReport:
     cycle_lengths: tuple  # sorted multiset
     size: int  # e(P)
 
-    def order(self) -> int:
-        return lcm(*self.cycle_lengths) if self.cycle_lengths else 1
-
 
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
-    """The permutation {word: op(word)} of L(P); checks the cap first."""
-    n = count_extensions(P)
-    if cap is not None and n > cap:
-        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
+    """The permutation {word: op(word)} of L(P); raises CapExceeded when e(P) > cap."""
     return {w: op(P, w) for w in linear_extensions(P, cap=cap)}
 
 
@@ -282,18 +274,24 @@ def orbit_structure(P: Poset, operator: str, cap: int = DEFAULT_EXTENSION_CAP) -
     return OrbitReport(operator, cycle_lengths(perm), len(perm))
 
 
-def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
-    """Order of the group generated by evacuation and dual evacuation on L(P).
+def dihedral_group_order(first: dict, second: dict) -> int:
+    """Order of the group generated by two involutions of one set.
 
     Reported as 2m where m is the order of the product of the two
-    involutions, with 1 for the degenerate single-extension case.  (When
-    e(P) > 1 the two generators can still both act trivially -- the 2x2
-    square is the smallest example -- and then the literal group order
-    collapses to 1; the conventional 2m value is reported regardless so
-    that all members of a shape family get the same answer.)
+    involutions, with 1 for the degenerate single-state case.  (On more than
+    one state the two generators can still both act trivially -- on L(P) the
+    2x2 square is the smallest example -- and then the literal group order
+    collapses to 1; the conventional 2m value is reported regardless so that
+    all members of a shape family get the same answer.)
     """
-    ev = extension_permutation(P, evacuate, cap=cap)
-    if len(ev) <= 1:
+    if len(first) <= 1:
         return 1
-    dev = extension_permutation(P, dual_evacuate, cap=cap)
-    return 2 * permutation_order(compose(ev, dev))
+    return 2 * permutation_order(compose(first, second))
+
+
+def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
+    """Order of the group generated by evacuation and dual evacuation on L(P)."""
+    return dihedral_group_order(
+        extension_permutation(P, evacuate, cap=cap),
+        extension_permutation(P, dual_evacuate, cap=cap),
+    )

@@ -13,16 +13,15 @@ from math import gcd
 
 from .posets import (
     DEFAULT_EXTENSION_CAP,
-    CapExceeded,
     Poset,
     Shape,
     Word,
-    count_extensions,
     linear_extensions,
     shape_poset,
 )
 from .promotion import (
-    dihedral_order,
+    dihedral_group_order,
+    dual_evacuate,
     evacuate,
     extension_permutation,
     orbit_structure,
@@ -53,29 +52,30 @@ def hook_lengths(s: Shape) -> dict:
     return out
 
 
+def _row_table(s: Shape) -> tuple:
+    """rows[t]: the row of cell id t."""
+    return tuple(r for r, _ in s.cells())
+
+
+def _maj(rows: tuple, word: Word) -> int:
+    """maj of the tableau `word`, read from the row table of its shape."""
+    r = [rows[t] for t in word]
+    return sum(i for i in range(1, len(r)) if r[i] > r[i - 1])
+
+
 def maj_tableau(s: Shape, word: Word) -> int:
     """Sum of entries i whose successor i+1 sits in a strictly lower row."""
-    cells = s.cells()
-    P = shape_poset(s)
-    if not P.is_extension(word):
+    if not shape_poset(s).is_extension(word):
         raise ValueError("word is not a linear extension of the shape poset")
-    row_of_entry = [0] * (len(word) + 1)
-    for pos, cell_id in enumerate(word):
-        row_of_entry[pos + 1] = cells[cell_id][0]
-    return sum(
-        i for i in range(1, len(word)) if row_of_entry[i + 1] > row_of_entry[i]
-    )
+    return _maj(_row_table(s), word)
 
 
 def f_poly_sum(s: Shape, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
     """F(q) = sum of q^maj over standard tableaux of the shape."""
-    P = shape_poset(s)
-    n = count_extensions(P)
-    if cap is not None and n > cap:
-        raise CapExceeded(f"{n} tableaux exceeds cap {cap}")
+    rows = _row_table(s)
     coeffs = [0] * (s.size * s.size + 1)
-    for w in linear_extensions(P, cap=cap):
-        coeffs[maj_tableau(s, w)] += 1
+    for w in linear_extensions(shape_poset(s), cap=cap):
+        coeffs[_maj(rows, w)] += 1
     return pnorm(coeffs)
 
 
@@ -104,31 +104,9 @@ def _one_minus_qk(k: int) -> IntPoly:
     return pnorm((1,) + (0,) * (k - 1) + (-1,))
 
 
-def rectangle_hook_bracket_exponents(m: int, n: int) -> dict:
-    """Multiset of hook lengths of an m x n rectangle (m <= n) as the bracket
-    product [1][2]^2...[m]^m[m+1]^m...[n]^m[n+1]^{m-1}...[n+m-1]."""
-    if m > n:
-        raise ValueError("needs m <= n")
-    out = {}
-    for i in range(1, n + m):
-        if i <= m:
-            out[i] = i
-        elif i <= n:
-            out[i] = m
-        else:
-            out[i] = n + m - i
-    return out
-
-
-def F_poly(s: Shape, method: str = "auto", cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
-    """F(q); for rectangles the hook route and sum route must agree."""
-    rows = s.rows
-    rect = not s.shifted and len(set(rows)) == 1
-    if method == "sum":
-        return f_poly_sum(s, cap=cap)
-    if method == "hook":
-        return f_poly_hook(s)
-    if rect:
+def F_poly(s: Shape, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
+    """F(q): by hooks on rectangles, by summing maj elsewhere."""
+    if not s.shifted and len(set(s.rows)) == 1:
         return f_poly_hook(s)
     return f_poly_sum(s, cap=cap)
 
@@ -266,6 +244,7 @@ def special_shape_check(
     P = shape_poset(s)
     p = P.p
     perm = extension_permutation(P, promote, cap=cap)
+    evac = extension_permutation(P, evacuate, cap=cap)
     if kind == "staircase":
         target = {w: transpose_extension(s, w) for w in perm}
     else:
@@ -276,8 +255,7 @@ def special_shape_check(
         m, n = len(rows), rows[0]
         cells = s.cells()
         index = {cell: i for i, cell in enumerate(cells)}
-        for w in perm:
-            ev = evacuate(P, w)
+        for w, ev in evac.items():
             label = {t: i + 1 for i, t in enumerate(w)}
             evlabel = {t: i + 1 for i, t in enumerate(ev)}
             for (r, c), t in index.items():
@@ -289,6 +267,8 @@ def special_shape_check(
         shape=s,
         extensions=len(perm),
         power_ok=power_ok,
-        dihedral=dihedral_order(P, cap=cap),
+        dihedral=dihedral_group_order(
+            evac, extension_permutation(P, dual_evacuate, cap=cap)
+        ),
         evac_formula_ok=evac_ok,
     )

@@ -15,7 +15,6 @@ from .posets import (
     CapExceeded,
     Poset,
     Word,
-    count_extensions,
     is_natural,
     linear_extensions,
     maximal_chains,
@@ -34,10 +33,15 @@ def _require_natural(P: Poset):
         raise NotNaturalError("poset is not a natural partial order; relabel first")
 
 
+def _descents(word: Word) -> list:
+    """The 1-based positions i with a_i > a_{i+1}."""
+    return [i for i in range(1, len(word)) if word[i - 1] > word[i]]
+
+
 def descent_set(P: Poset, word: Word) -> frozenset:
     """D(w) = {i : a_i > a_{i+1}} (1-based positions, natural labels)."""
     _require_natural(P)
-    return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
+    return frozenset(_descents(word))
 
 
 def comaj(P: Poset, word: Word) -> int:
@@ -52,12 +56,10 @@ def maj(P: Poset, word: Word) -> int:
 def wprime_poly(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
     """W'_P(x) = sum over linear extensions of x^comaj."""
     _require_natural(P)
-    n = count_extensions(P)
-    if cap is not None and n > cap:
-        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
-    coeffs = [0] * (P.p * (P.p - 1) // 2 + 1)
+    p = P.p
+    coeffs = [0] * (p * (p - 1) // 2 + 1)
     for w in linear_extensions(P, cap=cap):
-        coeffs[comaj(P, w)] += 1
+        coeffs[sum(p - i for i in _descents(w))] += 1
     return pnorm(coeffs)
 
 
@@ -66,30 +68,19 @@ def w_poly(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
     _require_natural(P)
     coeffs = [0] * (P.p * (P.p - 1) // 2 + 1)
     for w in linear_extensions(P, cap=cap):
-        coeffs[maj(P, w)] += 1
+        coeffs[sum(_descents(w))] += 1
     return pnorm(coeffs)
 
 
-def dual_domino_tableaux(P: Poset, dual: bool = True) -> list:
+def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     """All dual P-domino tableaux as chains of ideals (tuples of frozensets).
 
     A step adds a two-element chain {s, t} with s < t; the first step adds a
-    single element when p is odd.  With dual=False the non-dual variant is
-    enumerated instead (single final step when p is odd); the two agree for
-    even p.
+    single element when p is odd.  Raises CapExceeded once more than `cap`
+    tableaux are found (never when `cap` is None).
     """
     p = P.p
-    steps = []  # sizes of increments bottom-up
-    if dual:
-        if p % 2:
-            steps = [1] + [2] * (p // 2)
-        else:
-            steps = [2] * (p // 2)
-    else:
-        if p % 2:
-            steps = [2] * (p // 2) + [1]
-        else:
-            steps = [2] * (p // 2)
+    steps = [1] * (p % 2) + [2] * (p // 2)  # sizes of increments bottom-up
 
     out = []
 
@@ -113,6 +104,8 @@ def dual_domino_tableaux(P: Poset, dual: bool = True) -> list:
     def rec(mask, depth, chain_acc):
         if depth == len(steps):
             out.append(tuple(chain_acc))
+            if cap is not None and len(out) > cap:
+                raise CapExceeded(f"more than {cap} dual domino tableaux")
             return
         for inc in increments(mask, steps[depth]):
             m2 = mask
@@ -151,9 +144,6 @@ def is_dual_domino_word(P: Poset, word: Word) -> bool:
 
 
 def self_evacuating(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
-    n = count_extensions(P)
-    if cap is not None and n > cap:
-        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     return [w for w in linear_extensions(P, cap=cap) if evacuate(P, w) == w]
 
 
@@ -196,9 +186,6 @@ def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalan
         opposite-parity form is forced: with equal parities the p-element
         chain itself would be a counterexample, having one extension.)
     """
-    n = count_extensions(P)
-    if cap is not None and n > cap:
-        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     even = odd = 0
     for w in linear_extensions(P, cap=cap):
         if extension_parity(w):

@@ -197,7 +197,7 @@ def test_closed_forms_match_generic_operators(n):
         assert chain_to_signed_perm(faces, evacuate_chain(Q, m)) == signed_gamma(w)
 
 
-@pytest.mark.parametrize("n,order", [(2, 8), (3, 6), (4, 16), (5, 10)])
+@pytest.mark.parametrize("n,order", [(1, 2), (2, 8), (3, 6), (4, 16), (5, 10)])
 def test_signed_group_orders(n, order):
     assert signed_group_order(n) == order
 

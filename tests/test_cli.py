@@ -197,3 +197,44 @@ def test_cli_internal_arithmetic_error_is_not_a_usage_error(capsys, monkeypatch)
     # a real usage error is still exit 2
     code, out, err = run_cli(["hecke", "cw", "--n", "3", "--w", "9999"], capsys)
     assert code == 2 and "internal error" not in err
+
+
+def test_cli_stats_domino_exits_3_at_cap(capsys):
+    code, out, err = run_cli(["stats", "domino", "--shape", "shape:4,4"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+    code, out, err = run_cli(
+        ["--cap", "1", "stats", "domino", "--shape", "shape:4,4"], capsys
+    )
+    assert code == 3 and out == ""
+    assert "1 dual domino tableaux" in err
+
+
+def test_cli_global_options_on_either_side_of_the_verb(capsys):
+    code, before, _ = run_cli(
+        ["--cap", "1000", "orbits", "--shape", "shape:2,2"], capsys
+    )
+    assert code == 0
+    code, after, _ = run_cli(
+        ["orbits", "--shape", "shape:2,2", "--cap", "1000"], capsys
+    )
+    assert code == 0 and after == before
+    code, out, _ = run_cli(["orbits", "--shape", "shape:3,3", "--cap", "4"], capsys)
+    assert code == 3 and out == ""
+    code, out, _ = run_cli(["dihedral", "--shape", "shape:2,2", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == [{"order": 2}]
+    # a value after the verb wins over one before it; none keeps the default
+    code, out, _ = run_cli(
+        ["--format", "json", "dihedral", "--shape", "shape:2,2", "--format", "tsv"], capsys
+    )
+    assert code == 0 and out.splitlines() == ["order", "2"]
+    code, out, _ = run_cli(["--format", "json", "dihedral", "--shape", "shape:2,2"], capsys)
+    assert code == 0 and json.loads(out) == [{"order": 2}]
+    code, _, err = run_cli(["hecke", "cw", "--n", "4", "--w", "1234", "--hecke-cap", "3"], capsys)
+    assert code == 3 and "n = 4" in err
+
+
+def test_cli_orbits_offers_every_operator(capsys):
+    for op in ("promote", "evacuate", "dual_evacuate", "promote_p"):
+        code, out, _ = run_cli(["orbits", "--shape", "shape:3,2", "--op", op], capsys)
+        assert code == 0, op
+        assert out.splitlines()[1].split("\t")[:2] == [op, "5"]

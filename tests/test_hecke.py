@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from linext.hecke import (
     DEFAULT_HECKE_CAP,
-    HeckeCapExceeded,
     HeckeElt,
     c_w,
     check_thm_cid,
@@ -24,6 +23,7 @@ from linext.hecke import (
     t_w,
     t_w_from_word,
 )
+from linext.posets import CapExceeded
 from linext.promotion import gamma_word
 from linext.ratfunc import RF_ONE, RF_Q, RF_ZERO, RatFunc, ppow, qm1_order
 
@@ -163,5 +163,5 @@ def test_evacuation_element_is_a_fresh_copy():
 
 
 def test_cap_enforced():
-    with pytest.raises(HeckeCapExceeded):
+    with pytest.raises(CapExceeded, match="n = 8 .* cap 7"):
         evacuation_element(8, cap=7)

@@ -10,17 +10,32 @@ from linext.chains import (
     graded_from_poset,
     promote_chain,
 )
-from linext.posets import ideals_lattice, linear_extensions, poset_from_covers
+from linext.posets import (
+    CapExceeded,
+    Shape,
+    count_extensions,
+    ideals_lattice,
+    linear_extensions,
+    natural_relabel,
+    poset_from_covers,
+    shape_poset,
+)
 from linext.promotion import (
+    compose,
     dual_evacuate,
     dual_evacuate_via_dual,
     evacuate,
     evacuate_by_freezing,
+    extension_permutation,
+    permutation_power,
     promote,
     promote_slide,
     tau,
     tau_word,
 )
+from linext.ratfunc import pnorm
+from linext.sieve import f_poly_sum, maj_tableau
+from linext.stats import comaj, maj, w_poly, wprime_poly
 
 
 @st.composite
@@ -31,6 +46,22 @@ def dag_posets(draw, max_p=7):
     pairs = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
                           max_size=2 * p))
     return poset_from_covers(p, [(ids[s], ids[t]) for s, t in pairs if s < t])
+
+
+@st.composite
+def shapes(draw):
+    """A random ordinary or shifted shape with at most 3 rows of at most 4 cells."""
+    shifted = draw(st.booleans())
+    rows = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return Shape(tuple(sorted(set(rows) if shifted else rows, reverse=True)), shifted)
+
+
+def census(values) -> tuple:
+    """The polynomial sum of x^v over the values."""
+    coeffs = [0] * (max(values) + 1)
+    for v in values:
+        coeffs[v] += 1
+    return pnorm(coeffs)
 
 
 @st.composite
@@ -77,3 +108,45 @@ def test_chain_operators_on_ideal_lattice_match_extension_operators(Pw):
     assert promote_chain(Q, m) == prefix_chain(promote(P, w))
     assert evacuate_chain(Q, m) == prefix_chain(evacuate(P, w))
     assert dual_evacuate_chain(Q, m) == prefix_chain(dual_evacuate(P, w))
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_monoid_identities_on_permutations(P):
+    """Thm 1 and Lemma 1 on L(P): epsilon and epsilon* are involutions,
+    delta^p = epsilon epsilon* and delta epsilon = epsilon delta^-1."""
+    pr = extension_permutation(P, promote)
+    ev = extension_permutation(P, evacuate)
+    dev = extension_permutation(P, dual_evacuate)
+    ident = {w: w for w in pr}
+    assert compose(ev, ev) == ident
+    assert compose(dev, dev) == ident
+    assert permutation_power(pr, P.p) == compose(ev, dev)
+    assert compose(pr, ev) == compose(ev, {v: w for w, v in pr.items()})
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_count_matches_enumeration_and_cap_is_checked_first(P):
+    e = count_extensions(P)
+    assert len(list(linear_extensions(P))) == e
+    assert len(list(linear_extensions(P, cap=e))) == e
+    words = linear_extensions(P, cap=e - 1)
+    with pytest.raises(CapExceeded, match=f"e\\(P\\) = {e} exceeds cap {e - 1}"):
+        next(words)
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_w_polys_are_descent_censuses(P):
+    Q, _ = natural_relabel(P)
+    words = list(linear_extensions(Q))
+    assert wprime_poly(Q) == census([comaj(Q, w) for w in words])
+    assert w_poly(Q) == census([maj(Q, w) for w in words])
+
+
+@given(shapes())
+@settings(max_examples=60, deadline=None)
+def test_f_poly_sum_is_the_maj_census(s):
+    words = list(linear_extensions(shape_poset(s)))
+    assert f_poly_sum(s) == census([maj_tableau(s, w) for w in words])

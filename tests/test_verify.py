@@ -1,5 +1,9 @@
 """The bundled verification suites must all be green."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from linext.verify import SUITES, run_suite
@@ -11,3 +15,13 @@ def test_suite_passes(suite_id):
     assert results, suite_id
     failures = [(r.name, r.detail) for r in results if not r.passed]
     assert failures == []
+
+
+def test_run_verifications_rejects_unknown_suite_ids():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_verifications.py")
+    proc = subprocess.run(
+        [sys.executable, script, "nosuch"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nosuch" in proc.stderr and "thm1" in proc.stderr

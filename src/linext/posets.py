@@ -3,6 +3,11 @@
 Elements are dense integer ids 0..p-1.  A linear extension is a tuple of all
 p elements (the word u_1 ... u_p with u_i = f^{-1}(i)); every prefix of the
 word is an order ideal.
+
+L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
+rule for the elements that can be added to an ideal (`_addable`): one layered
+walk (`_ideal_layers`) serves `count_extensions`, `ideals` and
+`ideals_lattice`, and `linear_extensions` follows the rule depth first.
 """
 
 from __future__ import annotations
@@ -171,6 +176,48 @@ def disjoint_union(a: Poset, b: Poset) -> Poset:
     return poset_from_covers(a.p + b.p, pairs)
 
 
+def _down_sets(P: Poset, ids) -> list:
+    """(1 << t, P.geq_mask[t]) for each t in `ids`: its bit and its down-set."""
+    return [(1 << t, P.geq_mask[t]) for t in ids]
+
+
+def _addable(down_sets, mask: int) -> list:
+    """The bits, ascending, of the elements that can be added to the ideal `mask`.
+
+    `down_sets` holds the candidates as `_down_sets` gives them.  t can be
+    added iff it is outside the ideal and geq[t] & ~bit & ~mask == 0, that
+    is, iff t is the only element of its down-set outside the ideal.
+    """
+    free = ~mask
+    return [bit for bit, geq in down_sets if geq & free == bit]
+
+
+def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
+    """Walk J(P) upward from the empty ideal, one size at a time.
+
+    Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
+    holding two layers at a time; raises CapExceeded(message) as soon as more
+    than `cap` ideals are found.
+    """
+    down_sets = _down_sets(P, range(P.p))
+    layer = {0: 1}
+    found = 1
+    while layer:
+        yield layer
+        nxt = {}
+        for mask, paths in layer.items():
+            for bit in _addable(down_sets, mask):
+                k = mask | bit
+                if k in nxt:
+                    nxt[k] += paths
+                else:
+                    nxt[k] = paths
+                    found += 1
+                    if found > cap:
+                        raise CapExceeded(message)
+        layer = nxt
+
+
 def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
     """Yield every linear extension exactly once, in lexicographic word order.
 
@@ -181,87 +228,51 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Wo
         n = count_extensions(P)
         if n > cap:
             raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
-    p = P.p
-    full = (1 << p) - 1
-    geq = P.geq_mask
+    above = [_down_sets(P, P.up[t]) for t in range(P.p)]
     word = []
 
-    def rec(mask: int):
-        if mask == full:
+    def rec(mask: int, addable: int):  # addable: the bits of the addable elements
+        if not addable:
             yield tuple(word)
             return
-        for t in range(p):
-            bit = 1 << t
-            if mask & bit:
-                continue
-            if (geq[t] & ~bit) & ~mask:
-                continue  # some element below t not placed yet
+        rest = addable
+        while rest:  # ascending bits, so lexicographic words
+            bit = rest & -rest
+            rest ^= bit
+            t = bit.bit_length() - 1
+            m = mask | bit
             word.append(t)
-            yield from rec(mask | bit)
+            # Only elements covering t can become addable; sum of bits = union.
+            yield from rec(m, addable ^ bit | sum(_addable(above[t], m)))
             word.pop()
 
-    yield from rec(0)
+    yield from rec(0, sum(_addable(_down_sets(P, range(P.p)), 0)))
 
 
 def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> int:
-    """e(P), by dynamic programming over order ideals.
+    """e(P), the number of paths from the empty ideal to P in J(P).
 
-    Raises CapExceeded once more than `cap` ideals are memoised.
+    Reads the layered walk of J(P) that `ideals` reads; raises CapExceeded
+    once more than `cap` ideals are found.
     """
-    full = (1 << P.p) - 1
-    leq = P.leq_mask
-    memo = {0: 1}
-
-    def f(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        total = 0
-        m = mask
-        while m:
-            bit = m & -m
-            t = bit.bit_length() - 1
-            m &= m - 1
-            if leq[t] & ~(1 << t) & mask:
-                continue  # t not maximal in the ideal
-            total += f(mask ^ bit)
-        memo[mask] = total
-        if len(memo) > cap:
-            raise CapExceeded(
-                f"e(P) of a {P.p}-element poset needs more than {cap} order ideals"
-            )
-        return total
-
-    return f(full)
+    cap_message = f"e(P) of a {P.p}-element poset needs more than {cap} order ideals"
+    for layer in _ideal_layers(P, cap, cap_message):
+        pass
+    return layer[(1 << P.p) - 1]
 
 
 def ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list:
-    """All order ideals as bitmasks, sorted by (size, lowest-id members)."""
-    seen = {0}
-    frontier = [0]
-    out = []
-    geq = P.geq_mask
+    """All order ideals as bitmasks, sorted by (size, lowest-id members).
+
+    Reads the layered walk of J(P) that `count_extensions` reads.
+    """
     fmt = f"0{P.p}b"
-    while frontier:  # frontier: all ideals of one size
+    out = []
+    for layer in _ideal_layers(P, cap, f"more than {cap} order ideals"):
         # Among masks of one size, lex order of the member tuples puts first
         # the mask holding the lowest bit where two differ: the larger one
         # when the bits are read in reverse.
-        frontier.sort(key=lambda m: int(format(m, fmt)[::-1], 2), reverse=True)
-        out.extend(frontier)
-        new = []
-        for mask in frontier:
-            for t in range(P.p):
-                bit = 1 << t
-                if mask & bit:
-                    continue
-                if (geq[t] & ~bit) & ~mask:
-                    continue  # t not minimal in the complement
-                nxt = mask | bit
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"more than {cap} order ideals")
-                    new.append(nxt)
-        frontier = new
+        out.extend(sorted(layer, key=lambda m: int(format(m, fmt)[::-1], 2), reverse=True))
     return out
 
 
@@ -282,12 +293,8 @@ def ideals_lattice(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
     """
     masks = ideals(P, cap=cap)
     index = {m: i for i, m in enumerate(masks)}
-    covers = []
-    for m in masks:
-        for t in range(P.p):
-            bit = 1 << t
-            if not (m & bit) and (m | bit) in index:
-                covers.append((index[m], index[m | bit]))
+    down_sets = _down_sets(P, range(P.p))
+    covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(down_sets, m)]
     lattice = poset_from_covers(len(masks), covers)
     members = tuple(frozenset(_mask_members(m)) for m in masks)
     return lattice, members

@@ -312,9 +312,6 @@ class RatFunc:
     def from_rational(x) -> "RatFunc":
         return RatFunc.make(ONE_POLY, ONE_POLY, Fraction(x))
 
-    def is_zero(self) -> bool:
-        return self.coef == 0
-
     def __bool__(self) -> bool:
         return self.coef != 0
 

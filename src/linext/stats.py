@@ -15,6 +15,9 @@ from .posets import (
     CapExceeded,
     Poset,
     Word,
+    _addable,
+    _down_sets,
+    _mask_members,
     is_natural,
     linear_extensions,
     maximal_chains,
@@ -79,44 +82,28 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     single element when p is odd.  Raises CapExceeded once more than `cap`
     tableaux are found (never when `cap` is None).
     """
-    p = P.p
-    steps = [1] * (p % 2) + [2] * (p // 2)  # sizes of increments bottom-up
-
+    full = (1 << P.p) - 1
+    down_sets = _down_sets(P, range(P.p))
+    above = [_down_sets(P, P.up[s]) for s in range(P.p)]
     out = []
 
-    def increments(mask, size):
-        """Ideal increments of the given size; 2-element ones must be chains."""
-        free = [t for t in range(p) if not (mask >> t & 1)]
-        if size == 1:
-            for t in free:
-                if not (P.geq_mask[t] & ~(1 << t) & ~mask):
-                    yield (t,)
-        else:
-            for s in free:
-                for t in free:
-                    if s == t or not P.less(s, t):
-                        continue
-                    both = (1 << s) | (1 << t)
-                    below = (P.geq_mask[s] | P.geq_mask[t]) & ~both
-                    if not (below & ~mask):
-                        yield (s, t)
-
-    def rec(mask, depth, chain_acc):
-        if depth == len(steps):
+    def rec(mask, chain_acc):
+        chain_acc = chain_acc + [frozenset(_mask_members(mask))]
+        if mask == full:
             out.append(tuple(chain_acc))
             if cap is not None and len(out) > cap:
                 raise CapExceeded(f"more than {cap} dual domino tableaux")
             return
-        for inc in increments(mask, steps[depth]):
-            m2 = mask
-            for t in inc:
-                m2 |= 1 << t
-            members = frozenset(
-                t for t in range(p) if m2 >> t & 1
-            )
-            rec(m2, depth + 1, chain_acc + [members])
+        for s_bit in _addable(down_sets, mask):
+            m = mask | s_bit
+            if P.p % 2 and not mask:  # the first step of an odd p adds one element
+                rec(m, chain_acc)
+                continue
+            # t > s is addable once s is in exactly when t covers s.
+            for t_bit in _addable(above[s_bit.bit_length() - 1], m):
+                rec(m | t_bit, chain_acc)
 
-    rec(0, 0, [frozenset()])
+    rec(0, [])
     return out
 
 
@@ -159,12 +146,20 @@ def domino_to_selfevac(P: Poset, word: Word) -> Word:
 
 
 def extension_parity(word: Word) -> int:
-    """Parity (0 even, 1 odd) of the word as a permutation of the ids."""
-    n = len(word)
-    inv = sum(
-        1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
-    )
-    return inv % 2
+    """Parity (0 even, 1 odd) of the word as a permutation of the ids.
+
+    A permutation of n ids with c cycles is a product of n - c transpositions.
+    """
+    seen = [False] * len(word)
+    cycles = 0
+    for start in range(len(word)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = word[i]
+    return (len(word) - cycles) % 2
 
 
 @dataclass(frozen=True)
@@ -186,12 +181,9 @@ def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalan
         opposite-parity form is forced: with equal parities the p-element
         chain itself would be a counterexample, having one extension.)
     """
-    even = odd = 0
-    for w in linear_extensions(P, cap=cap):
-        if extension_parity(w):
-            odd += 1
-        else:
-            even += 1
+    parities = [extension_parity(w) for w in linear_extensions(P, cap=cap)]
+    odd = sum(parities)
+    even = len(parities) - odd
 
     p = P.p
     chain_lengths = [len(ch) - 1 for ch in maximal_chains(P)]

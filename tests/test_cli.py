@@ -145,7 +145,8 @@ def test_cli_stats_and_hecke(capsys):
 
 
 def test_cli_entrypoint_subprocess():
-    env = dict(os.environ, LINDEX_THREADS="2")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "linext.cli", "dihedral", "--shape", "shape:2,2"],
         capture_output=True,

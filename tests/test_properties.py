@@ -14,6 +14,7 @@ from linext.posets import (
     CapExceeded,
     Shape,
     count_extensions,
+    ideals,
     ideals_lattice,
     linear_extensions,
     natural_relabel,
@@ -35,7 +36,15 @@ from linext.promotion import (
 )
 from linext.ratfunc import pnorm
 from linext.sieve import f_poly_sum, maj_tableau
-from linext.stats import comaj, maj, w_poly, wprime_poly
+from linext.stats import (
+    comaj,
+    domino_word,
+    dual_domino_tableaux,
+    is_dual_domino_word,
+    maj,
+    w_poly,
+    wprime_poly,
+)
 
 
 @st.composite
@@ -134,6 +143,62 @@ def test_count_matches_enumeration_and_cap_is_checked_first(P):
     words = linear_extensions(P, cap=e - 1)
     with pytest.raises(CapExceeded, match=f"e\\(P\\) = {e} exceeds cap {e - 1}"):
         next(words)
+
+
+def brute_force_ideals(P) -> list:
+    """The down-closed subsets among all 2^p, as member tuples by (size, members)."""
+    subsets = [
+        tuple(t for t in range(P.p) if m >> t & 1) for m in range(1 << P.p)
+    ]
+    downsets = [
+        S for S in subsets if all(s in S for (s, t) in P.covers if t in S)
+    ]
+    return sorted(downsets, key=lambda S: (len(S), S))
+
+
+def members_of(mask) -> tuple:
+    return tuple(t for t in range(mask.bit_length()) if mask >> t & 1)
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_ideals_are_the_downsets_in_size_then_member_order(P):
+    assert [members_of(m) for m in ideals(P)] == brute_force_ideals(P)
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_ideal_lattice_covers_add_one_minimal_element(P):
+    lattice, members = ideals_lattice(P)
+    found = {(members[lo], members[hi]) for (lo, hi) in lattice.covers}
+    expected = set()
+    for S in brute_force_ideals(P):
+        I = frozenset(S)
+        for t in set(range(P.p)) - I:
+            if all(s in I for (s, u) in P.covers if u == t):  # t minimal outside I
+                expected.add((I, I | {t}))
+    assert found == expected
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_ideal_cap_admits_exactly_the_ideal_count(P):
+    n = len(brute_force_ideals(P))
+    assert len(ideals(P, cap=n)) == n
+    assert count_extensions(P, cap=n) == count_extensions(P)
+    with pytest.raises(CapExceeded, match=f"more than {n - 1} order ideals"):
+        ideals(P, cap=n - 1)
+    with pytest.raises(CapExceeded, match=f"needs more than {n - 1} order ideals"):
+        count_extensions(P, cap=n - 1)
+
+
+@given(dag_posets(max_p=8))
+@settings(max_examples=60, deadline=None)
+def test_domino_tableaux_are_the_domino_words_in_lex_order(P):
+    Q, _ = natural_relabel(P)
+    assert [domino_word(T) for T in dual_domino_tableaux(Q)] == [
+        w for w in linear_extensions(Q) if is_dual_domino_word(Q, w)
+    ]
 
 
 @given(dag_posets(max_p=6))

@@ -70,6 +70,15 @@ def test_parity_is_inversion_parity():
     assert extension_parity((2, 1, 0)) == 1
 
 
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=200)
+def test_parity_by_cycles_matches_inversion_count(word):
+    inversions = sum(
+        1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j]
+    )
+    assert extension_parity(tuple(word)) == inversions % 2
+
+
 # --- dual domino tableaux -----------------------------------------------------
 
 @given(st.sampled_from(sorted(NATURAL_CORPUS)))

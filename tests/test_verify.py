@@ -18,9 +18,12 @@ def test_suite_passes(suite_id):
 
 
 def test_run_verifications_rejects_unknown_suite_ids():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_verifications.py")
+    root = os.path.join(os.path.dirname(__file__), "..")
+    script = os.path.join(root, "scripts", "run_verifications.py")
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, script, "nosuch"], capture_output=True, text=True
+        [sys.executable, script, "nosuch"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

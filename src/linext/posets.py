@@ -72,7 +72,7 @@ class Poset:
 
 
 def _closure_masks(p: int, pairs) -> tuple:
-    """Reflexive-transitive closure of the given pairs as bitmasks."""
+    """(leq_mask, geq_mask): the reflexive-transitive closure of the pairs."""
     adj = [[] for _ in range(p)]
     for s, t in pairs:
         adj[s].append(t)
@@ -103,13 +103,15 @@ def _closure_masks(p: int, pairs) -> tuple:
                 order.append(node)
                 path.pop()
                 stack.pop()
-    masks = [0] * p
+    leq = [1 << t for t in range(p)]
     for node in order:  # reverse topological: successors already done
-        m = 1 << node
         for nxt in adj[node]:
-            m |= masks[nxt]
-        masks[node] = m
-    return tuple(masks)
+            leq[node] |= leq[nxt]
+    geq = [1 << t for t in range(p)]
+    for node in reversed(order):  # topological: predecessors already done
+        for nxt in adj[node]:
+            geq[nxt] |= geq[node]
+    return tuple(leq), tuple(geq)
 
 
 def poset_from_covers(p: int, covers) -> Poset:
@@ -122,14 +124,7 @@ def poset_from_covers(p: int, covers) -> Poset:
             raise ValueError(f"pair ({s},{t}) references an id outside 0..{p - 1}")
         if s == t:
             raise CycleError([s, t])
-    leq_mask = _closure_masks(p, covers)
-    geq_mask = [0] * p
-    for s in range(p):
-        m = leq_mask[s]
-        while m:
-            t = (m & -m).bit_length() - 1
-            geq_mask[t] |= 1 << s
-            m &= m - 1
+    leq_mask, geq_mask = _closure_masks(p, covers)
     reduced = []
     for s in range(p):
         for t in range(p):
@@ -137,7 +132,12 @@ def poset_from_covers(p: int, covers) -> Poset:
                 between = leq_mask[s] & geq_mask[t] & ~(1 << s) & ~(1 << t)
                 if not between:
                     reduced.append((s, t))
-    reduced.sort()
+    return _poset_from_reduced(p, reduced, leq_mask, geq_mask)
+
+
+def _poset_from_reduced(p: int, covers, leq_mask: tuple, geq_mask: tuple) -> Poset:
+    """The Poset with exactly these cover pairs and their `_closure_masks`."""
+    reduced = sorted(covers)
     up = [[] for _ in range(p)]
     down = [[] for _ in range(p)]
     for s, t in reduced:
@@ -148,8 +148,8 @@ def poset_from_covers(p: int, covers) -> Poset:
         covers=tuple(reduced),
         up=tuple(map(tuple, up)),
         down=tuple(map(tuple, down)),
-        leq_mask=tuple(leq_mask),
-        geq_mask=tuple(geq_mask),
+        leq_mask=leq_mask,
+        geq_mask=geq_mask,
     )
 
 
@@ -289,13 +289,13 @@ def ideals_lattice(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
 
     Returns (lattice, members) where members[i] is the frozenset of P-elements
     of the ideal with lattice id i.  Cover pairs are (I, I + {t}) with t
-    minimal in the complement of I.
+    minimal in the complement of I; they are exact, so no reduction runs.
     """
     masks = ideals(P, cap=cap)
     index = {m: i for i, m in enumerate(masks)}
     down_sets = _down_sets(P, range(P.p))
     covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(down_sets, m)]
-    lattice = poset_from_covers(len(masks), covers)
+    lattice = _poset_from_reduced(len(masks), covers, *_closure_masks(len(masks), covers))
     members = tuple(frozenset(_mask_members(m)) for m in masks)
     return lattice, members
 

@@ -2,17 +2,20 @@
 
 All operators act on the right, so compositions read left to right: applying
 "promote then evacuate" to f computes (f d) e.  Words are tuples of element
-ids as produced by posets.linear_extensions.
+ids as produced by posets.linear_extensions.  Over all of L(P), promotion,
+evacuation and dual evacuation are read off one cached ExtensionSpace per poset.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from .posets import (
     DEFAULT_EXTENSION_CAP,
+    CapExceeded,
     Poset,
     Word,
     conjugate_extension,
@@ -217,9 +220,64 @@ class OrbitReport:
     size: int  # e(P)
 
 
+_TAU_WORDS = {promote: delta_word, evacuate: gamma_word, dual_evacuate: gamma_star_word}
+
+
+class ExtensionSpace:
+    """L(P) indexed: `words` in lex order, and rows tau[i] (1 <= i < p) with
+    tau[i][k] the index of tau_i(words[k])."""
+
+    def __init__(self, P: Poset, words: tuple):
+        self.p, self.words, self._images = P.p, words, {}
+        index = {w: k for k, w in enumerate(words)}  # only while building
+        leq = P.leq_mask
+        self.tau = [None]
+        for i in range(1, P.p):
+            row = array("i", range(len(words)))
+            for k, w in enumerate(words):
+                # a precedes b, so they are comparable iff a <= b in P; a swap
+                # is filled at both ends from its lex-smaller word, where a < b.
+                a, b = w[i - 1], w[i]
+                if a < b and not leq[a] >> b & 1:
+                    row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
+                    row[j] = k
+            self.tau.append(row)
+
+    def image(self, op) -> array:
+        """image[k] is the index of op(words[k]) for op promote, evacuate or
+        dual_evacuate: the rows composed along op's tau word, then kept."""
+        if op not in self._images:
+            cur = range(len(self.words))
+            for i in _TAU_WORDS[op](self.p):
+                t = self.tau[i]
+                cur = [t[x] for x in cur]
+            self._images[op] = array("i", cur)
+        return self._images[op]
+
+
+SPACE_CACHE_SIZE = 4
+_SPACES = {}  # Poset -> ExtensionSpace, oldest first
+
+
+def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
+    """The ExtensionSpace of P, cached; raises CapExceeded when e(P) > cap."""
+    space = _SPACES.get(P)
+    if space is None:
+        space = _SPACES[P] = ExtensionSpace(P, tuple(linear_extensions(P, cap=cap)))
+        if len(_SPACES) > SPACE_CACHE_SIZE:
+            del _SPACES[next(iter(_SPACES))]
+    elif cap is not None and len(space.words) > cap:  # the message linear_extensions gives
+        raise CapExceeded(f"e(P) = {len(space.words)} exceeds cap {cap}")
+    return space
+
+
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
-    """The permutation {word: op(word)} of L(P); raises CapExceeded when e(P) > cap."""
-    return {w: op(P, w) for w in linear_extensions(P, cap=cap)}
+    """The permutation {word: op(word)} of L(P); raises CapExceeded when e(P) > cap.
+    promote, evacuate and dual_evacuate come from the ExtensionSpace of P."""
+    if op not in _TAU_WORDS:
+        return {w: op(P, w) for w in linear_extensions(P, cap=cap)}
+    space = extension_space(P, cap)
+    return {w: space.words[j] for w, j in zip(space.words, space.image(op))}
 
 
 def cycle_lengths(perm: dict) -> tuple:
@@ -244,7 +302,8 @@ def permutation_order(perm: dict) -> int:
 
 
 def compose(first: dict, second: dict) -> dict:
-    """Right-action composition: (f first) second."""
+    """Right-action composition: (f first) second.  Index lists work too: a
+    permutation lists every index once, so iterating it visits them all."""
     return {w: second[first[w]] for w in first}
 
 
@@ -259,19 +318,19 @@ def permutation_power(perm: dict, k: int) -> dict:
     return out
 
 
-OPERATORS = {  # name -> (P, cap) -> the permutation of L(P)
-    "promote": lambda P, cap: extension_permutation(P, promote, cap),
-    "evacuate": lambda P, cap: extension_permutation(P, evacuate, cap),
-    "dual_evacuate": lambda P, cap: extension_permutation(P, dual_evacuate, cap),
-    "promote_p": lambda P, cap: permutation_power(extension_permutation(P, promote, cap), P.p),
+OPERATORS = {  # name -> ExtensionSpace -> the permutation of its indices
+    "promote": lambda S: S.image(promote),
+    "evacuate": lambda S: S.image(evacuate),
+    "dual_evacuate": lambda S: S.image(dual_evacuate),
+    "promote_p": lambda S: permutation_power(S.image(promote), S.p),
 }
 
 
 def orbit_structure(P: Poset, operator: str, cap: int = DEFAULT_EXTENSION_CAP) -> OrbitReport:
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    perm = OPERATORS[operator](P, cap)
-    return OrbitReport(operator, cycle_lengths(perm), len(perm))
+    space = extension_space(P, cap)
+    return OrbitReport(operator, cycle_lengths(OPERATORS[operator](space)), len(space.words))
 
 
 def dihedral_group_order(first: dict, second: dict) -> int:
@@ -291,7 +350,5 @@ def dihedral_group_order(first: dict, second: dict) -> int:
 
 def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
     """Order of the group generated by evacuation and dual evacuation on L(P)."""
-    return dihedral_group_order(
-        extension_permutation(P, evacuate, cap=cap),
-        extension_permutation(P, dual_evacuate, cap=cap),
-    )
+    space = extension_space(P, cap)
+    return dihedral_group_order(space.image(evacuate), space.image(dual_evacuate))

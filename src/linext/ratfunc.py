@@ -146,7 +146,7 @@ def deflate(a: IntPoly, r: int, limit: int | None = None) -> tuple:
     Integer synthetic division; returns (m, a / (x - r)^m).
     """
     if not a:
-        raise ValueError("zero polynomial has every root")
+        raise ArithmeticError("zero polynomial has every root")
     m = 0
     while m != limit and len(a) > 1:
         quo = [0] * (len(a) - 1)
@@ -394,7 +394,7 @@ def divisible_by_qm1(a: RatFunc, k: int) -> bool:
     if not a:
         return True
     if peval(a.den, 1) == 0:
-        raise AssertionError("denominator not coprime to q-1")
+        raise ArithmeticError("denominator not coprime to q-1")
     if k <= 0:
         return True
     return root_multiplicity(a.num, 1) >= k
@@ -403,9 +403,9 @@ def divisible_by_qm1(a: RatFunc, k: int) -> bool:
 def qm1_order(a: RatFunc) -> int:
     """Multiplicity of (q-1) in the numerator (a must be nonzero)."""
     if not a:
-        raise ValueError("zero has infinite (q-1) order")
+        raise ArithmeticError("zero has infinite (q-1) order")
     if peval(a.den, 1) == 0:
-        raise AssertionError("denominator not coprime to q-1")
+        raise ArithmeticError("denominator not coprime to q-1")
     return root_multiplicity(a.num, 1)
 
 

@@ -23,7 +23,7 @@ from .promotion import (
     dihedral_group_order,
     dual_evacuate,
     evacuate,
-    extension_permutation,
+    extension_space,
     orbit_structure,
     permutation_power,
     promote,
@@ -243,32 +243,25 @@ def special_shape_check(
 
     P = shape_poset(s)
     p = P.p
-    perm = extension_permutation(P, promote, cap=cap)
-    evac = extension_permutation(P, evacuate, cap=cap)
-    if kind == "staircase":
-        target = {w: transpose_extension(s, w) for w in perm}
-    else:
-        target = {w: w for w in perm}
-    power_ok = permutation_power(perm, p) == target
+    space = extension_space(P, cap)
+    words = space.words
+    evac = space.image(evacuate)
+    power = permutation_power(space.image(promote), p)
+    target = (lambda w: transpose_extension(s, w)) if kind == "staircase" else (lambda w: w)
+    power_ok = all(words[power[k]] == target(w) for k, w in enumerate(words))
     evac_ok = True
     if kind == "rectangle":
+        # f e(t) = p + 1 - f(opposite t): f e is f reversed, each id sent to its opposite.
         m, n = len(rows), rows[0]
-        cells = s.cells()
-        index = {cell: i for i, cell in enumerate(cells)}
-        for w, ev in evac.items():
-            label = {t: i + 1 for i, t in enumerate(w)}
-            evlabel = {t: i + 1 for i, t in enumerate(ev)}
-            for (r, c), t in index.items():
-                opposite = index[(m + 1 - r, n + 1 - c)]
-                if evlabel[t] != p + 1 - label[opposite]:
-                    evac_ok = False
+        index = {cell: i for i, cell in enumerate(s.cells())}
+        opposite = [index[(m + 1 - r, n + 1 - c)] for (r, c) in index]
+        evac_ok = all(words[j] == tuple(opposite[t] for t in reversed(w))
+                      for w, j in zip(words, evac))
     return SpecialShapeReport(
         kind=kind,
         shape=s,
-        extensions=len(perm),
+        extensions=len(words),
         power_ok=power_ok,
-        dihedral=dihedral_group_order(
-            evac, extension_permutation(P, dual_evacuate, cap=cap)
-        ),
+        dihedral=dihedral_group_order(evac, space.image(dual_evacuate)),
         evac_formula_ok=evac_ok,
     )

@@ -25,7 +25,7 @@ from .promotion import (
     compose,
     dual_evacuate,
     evacuate,
-    extension_permutation,
+    extension_space,
     gamma_word,
     odd_falling_word,
     permutation_power,
@@ -52,11 +52,10 @@ def _corpus(limit: int = 8) -> dict:
 
 def _monoid_identities(P: Poset) -> dict:
     """The identities among promote, evac and dual_evac as permutations of L(P)."""
-    pr = extension_permutation(P, promote)
-    ev = extension_permutation(P, evacuate)
-    dev = extension_permutation(P, dual_evacuate)
-    ident = {w: w for w in pr}
-    inv_pr = {v: k for k, v in pr.items()}
+    space = extension_space(P)
+    pr, ev, dev = (space.image(op) for op in (promote, evacuate, dual_evacuate))
+    ident = {k: k for k in range(len(pr))}
+    inv_pr = {v: k for k, v in enumerate(pr)}
     return {
         "evac involution": compose(ev, ev) == ident,
         "dual evac involution": compose(dev, dev) == ident,

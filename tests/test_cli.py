@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from linext import posets
+from linext import hecke, posets
 from linext.cli import main
 from linext.io import (
     ParseError,
@@ -19,7 +19,7 @@ from linext.io import (
     parse_word,
 )
 from linext.posets import count_extensions
-from linext.ratfunc import InexactDivision
+from linext.ratfunc import RF_ZERO, InexactDivision, RatFunc, deflate, qm1_order
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -239,3 +239,15 @@ def test_cli_orbits_offers_every_operator(capsys):
         code, out, _ = run_cli(["orbits", "--shape", "shape:3,2", "--op", op], capsys)
         assert code == 0, op
         assert out.splitlines()[1].split("\t")[:2] == [op, "5"]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda: qm1_order(RF_ZERO),
+    lambda: qm1_order(RatFunc.make((1,), (-1, 1))),
+    lambda: deflate((), 1),
+])
+def test_cli_arithmetic_fault_exits_1_as_internal_error(fault, capsys, monkeypatch):
+    monkeypatch.setattr(hecke, "divisibility_report", lambda n, cap: fault())
+    code, out, err = run_cli(["hecke", "verify", "div", "--n", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: ")

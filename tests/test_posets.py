@@ -112,6 +112,18 @@ def test_ideal_lattice_of_antichain_is_boolean():
     lat, members = ideals_lattice(antichain(3))
     assert lat.p == 8
     assert count_extensions(lat) == 48  # e(B_3)
+    lat, members = ideals_lattice(antichain(11))
+    assert lat.p == 2 ** 11 and len(lat.covers) == 11 * 2 ** 10
+
+
+def test_ideal_lattice_is_the_reduced_poset_of_its_covers():
+    """Its covers are exact, so building J(P) from them without a transitive
+    reduction gives what the reducing constructor gives."""
+    for name, P in corpus().items():
+        lat, _ = ideals_lattice(P)
+        ref = poset_from_covers(lat.p, list(lat.covers))
+        fields = ("covers", "up", "down", "leq_mask", "geq_mask")
+        assert [getattr(lat, f) for f in fields] == [getattr(ref, f) for f in fields], name
 
 
 def test_ordinal_sum_and_disjoint_union():

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linext import posets, promotion, sieve, stats, verify
 from linext.corpus import corpus_p_le
 from linext.posets import (
+    Shape,
     antichain,
     chain,
     linear_extensions,
     poset_from_covers,
+    shape_poset,
 )
 from linext.promotion import (
     compose,
@@ -209,3 +212,35 @@ def test_dihedral_orders():
     # antichain: evacuation and its dual are both the reversal, so the
     # product is the identity and the group is Z/2Z
     assert dihedral_order(antichain(3)) == 2
+
+
+# --- the cached ExtensionSpace -----------------------------------------------
+
+def test_one_enumeration_serves_every_operator_of_a_poset(monkeypatch):
+    monkeypatch.setattr(promotion, "_SPACES", {})
+    calls = []
+    enumerate_ = posets.linear_extensions
+
+    def counting(P, cap=posets.DEFAULT_EXTENSION_CAP):
+        calls.append(P)
+        return enumerate_(P, cap)
+
+    for module in (posets, promotion, sieve, stats, verify):
+        monkeypatch.setattr(module, "linear_extensions", counting)
+    P = shape_poset(Shape((4, 4)))
+    for op in (promote, evacuate, dual_evacuate):
+        assert len(extension_permutation(P, op)) == 14
+    assert orbit_structure(P, "promote").size == 14
+    assert dihedral_order(P) == 2
+    assert len(calls) == 1
+
+
+def test_space_cache_keeps_only_the_newest_posets(monkeypatch):
+    monkeypatch.setattr(promotion, "_SPACES", {})
+    newest = []
+    for n in range(1, 11):
+        P = chain(n)
+        assert orbit_structure(P, "promote").size == 1
+        newest = (newest + [P])[-promotion.SPACE_CACHE_SIZE:]
+        assert list(promotion._SPACES) == newest
+    assert len(promotion._SPACES) == promotion.SPACE_CACHE_SIZE

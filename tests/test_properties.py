@@ -23,11 +23,14 @@ from linext.posets import (
 )
 from linext.promotion import (
     compose,
+    dihedral_order,
     dual_evacuate,
     dual_evacuate_via_dual,
     evacuate,
     evacuate_by_freezing,
     extension_permutation,
+    extension_space,
+    orbit_structure,
     permutation_power,
     promote,
     promote_slide,
@@ -132,6 +135,46 @@ def test_monoid_identities_on_permutations(P):
     assert compose(dev, dev) == ident
     assert permutation_power(pr, P.p) == compose(ev, dev)
     assert compose(pr, ev) == compose(ev, {v: w for w, v in pr.items()})
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_extension_space_matches_reference_routes(P):
+    space = extension_space(P)
+    words = space.words
+    assert list(words) == list(linear_extensions(P))
+    for i in range(1, P.p):
+        assert [words[k] for k in space.tau[i]] == [tau(P, w, i) for w in words]
+    for op, ref in (
+        (promote, lambda w: promote_slide(P, w)[0]),
+        (evacuate, lambda w: evacuate_by_freezing(P, w)),
+        (dual_evacuate, lambda w: dual_evacuate_via_dual(P, w)),
+    ):
+        assert [words[k] for k in space.image(op)] == [ref(w) for w in words]
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_cached_space_still_checks_the_cap(P):
+    space = extension_space(P)
+    e = len(space.words)
+    assert extension_space(P, cap=e) is space
+    message = f"e\\(P\\) = {e} exceeds cap {e - 1}"
+    for call in (
+        lambda: extension_permutation(P, promote, cap=e - 1),
+        lambda: orbit_structure(P, "promote_p", cap=e - 1),
+        lambda: dihedral_order(P, cap=e - 1),
+    ):
+        with pytest.raises(CapExceeded, match=message):
+            call()
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=30, deadline=None)
+def test_equal_posets_share_one_space(P):
+    Q = poset_from_covers(P.p, list(P.covers))
+    assert Q is not P and Q == P
+    assert extension_space(Q) is extension_space(P)
 
 
 @given(dag_posets(max_p=6))

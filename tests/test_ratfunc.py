@@ -181,8 +181,20 @@ def test_qm1_divisibility_order():
     assert qm1_order(f) == 3
     assert divisible_by_qm1(f, 3)
     assert not divisible_by_qm1(f, 4)
-    with pytest.raises(ValueError):
+
+
+def test_internal_arithmetic_faults_raise_arithmetic_error():
+    """The CLI reports an ArithmeticError as an internal error (exit 1), not
+    as a usage error or a traceback."""
+    with pytest.raises(ArithmeticError, match="infinite"):
         qm1_order(RF_ZERO)
+    with pytest.raises(ArithmeticError, match="every root"):
+        deflate((), 1)
+    pole = RatFunc.make((1,), (-1, 1))  # 1 / (q - 1)
+    with pytest.raises(ArithmeticError, match="not coprime"):
+        qm1_order(pole)
+    with pytest.raises(ArithmeticError, match="not coprime"):
+        divisible_by_qm1(pole, 1)
 
 
 def test_poly_str_and_factored_format():

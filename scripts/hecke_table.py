@@ -9,14 +9,14 @@ import argparse
 import sys
 from itertools import permutations
 
-from linext.hecke import evacuation_element, perm_cycles, reversal
+from linext.hecke import DEFAULT_HECKE_CAP, evacuation_element, perm_cycles, reversal
 from linext.ratfunc import format_factored, qm1_order
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("-n", type=int, default=4)
-    ap.add_argument("--cap", type=int, default=7)
+    ap.add_argument("--cap", type=int, default=DEFAULT_HECKE_CAP)
     args = ap.parse_args()
 
     elt = evacuation_element(args.n, cap=args.cap)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import posets
-from .posets import Poset, _mask_members, poset_from_covers
+from .posets import CapExceeded, Poset, _mask_members, _poset_from_reduced
 from .promotion import delta_word, dihedral_group_order, gamma_star_word, gamma_word
 
 
@@ -171,7 +171,7 @@ def cross_polytope(n: int):
     top is appended.  Maximal chains correspond to signed permutations.
     """
     if n > 6:
-        raise ValueError("cross_polytope capped at n = 6")
+        raise CapExceeded(f"cross_polytope for n = {n} exceeds cap n <= 6")
     faces = [frozenset()]
     for k in range(1, n + 1):
         for support in combinations(range(1, n + 1), k):
@@ -192,7 +192,7 @@ def cross_polytope(n: int):
             if v not in f and -v not in f:
                 for s in (v, -v):
                     covers.append((i, index[f | {s}]))
-    Q = graded_from_poset(poset_from_covers(len(faces), covers))
+    Q = graded_from_poset(_poset_from_reduced(len(faces), covers))
     return Q, tuple(faces)
 
 

@@ -1,7 +1,8 @@
 """The subspace lattice B_n(q), flags, Bruhat cells, and the Hecke check.
 
 Subspaces of F_q^n are represented by the frozenset of their vectors, which
-makes inclusion and intersection trivial at desk scale (q in {2, 3}, n <= 4).
+makes inclusion and intersection trivial at desk scale (n <= SIZE_CAPS[q]).
+One walk up from {0} finds every subspace and every cover once.
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from fractions import Fraction
 from itertools import product
 
 from .chains import ChainVector, GradedPoset, evacuate_chains, graded_from_poset, maximal_chains
-from .hecke import DEFAULT_HECKE_CAP, Perm, evacuation_element
-from .posets import poset_from_covers
+from .hecke import Perm, evacuation_element
+from .posets import CapExceeded, _poset_from_reduced
 
-SIZE_CAPS = {2: 4, 3: 3}
-
-
-def _vectors(n: int, q: int):
-    return [tuple(v) for v in product(range(q), repeat=n)]
+SIZE_CAPS = {2: 5, 3: 4}  # q -> largest n
 
 
 def span(vectors, n: int, q: int) -> frozenset:
@@ -28,14 +25,15 @@ def span(vectors, n: int, q: int) -> frozenset:
         v = _reduce(v, basis, q)
         if any(v):
             basis.append(v)
-    out = {tuple([0] * n)}
+    out = frozenset({tuple([0] * n)})
     for b in basis:
-        out = {
-            tuple((x + c * y) % q for x, y in zip(w, b))
-            for w in out
-            for c in range(q)
-        }
-    return frozenset(out)
+        out = _coset_union(out, b, q)
+    return out
+
+
+def _coset_union(s: frozenset, v, q: int) -> frozenset:
+    """s + <v>, the union of the cosets s + c v."""
+    return frozenset(tuple((x + c * y) % q for x, y in zip(w, v)) for w in s for c in range(q))
 
 
 def _reduce(v, basis, q):
@@ -48,30 +46,40 @@ def _reduce(v, basis, q):
     return tuple(v)
 
 
+def _walk(n: int, q: int) -> tuple:
+    """(subspaces, covers) of B_n(q) from one walk up from {0}.
+
+    Each subspace s yields its covers s + <v> as unions of the cosets s + c v,
+    each built once: a v inside a cover already found for s is skipped, since
+    the covers of s partition the vectors outside s.  Subspaces come sorted by
+    (dimension, sorted vector list); covers are (id, id) pairs.
+    """
+    if q not in SIZE_CAPS:
+        raise ValueError(f"subspace lattice supports q in {sorted(SIZE_CAPS)}, not q = {q}")
+    if n > SIZE_CAPS[q]:
+        raise CapExceeded(f"subspace lattice for n = {n} exceeds cap n <= {SIZE_CAPS[q]} at q = {q}")
+    vecs = list(product(range(q), repeat=n))
+    subs, covers, start = [span((), n, q)], [], 0
+    while start < len(subs):  # subs[start:] is the last dimension found
+        found, ups = {}, []
+        for s in subs[start:]:
+            covered, mine = set(s), []
+            for v in vecs:
+                if v not in covered:
+                    t = _coset_union(s, v, q)
+                    covered |= t
+                    mine.append(found.setdefault(t, t))
+            ups.append(mine)
+        new = sorted(found, key=sorted)
+        index = {t: len(subs) + k for k, t in enumerate(new)}
+        covers += [(i, index[t]) for i, mine in enumerate(ups, start) for t in mine]
+        start, subs = len(subs), subs + new
+    return subs, covers
+
+
 def all_subspaces(n: int, q: int) -> list:
     """Every subspace of F_q^n, sorted by (dimension, sorted vector list)."""
-    if q not in SIZE_CAPS or n > SIZE_CAPS[q]:
-        raise ValueError(f"subspace lattice capped at n <= {SIZE_CAPS.get(q)} for q = {q}")
-    zero = tuple([0] * n)
-    subs = {frozenset({zero})}
-    frontier = [frozenset({zero})]
-    vecs = _vectors(n, q)
-    while frontier:
-        new = []
-        for s in frontier:
-            for v in vecs:
-                if v not in s:
-                    # s + <v> is the union of the cosets s + c v
-                    bigger = frozenset(
-                        tuple((x + c * y) % q for x, y in zip(w, v))
-                        for w in s
-                        for c in range(q)
-                    )
-                    if bigger not in subs:
-                        subs.add(bigger)
-                        new.append(bigger)
-        frontier = new
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+    return _walk(n, q)[0]
 
 
 def subspace_dim(s: frozenset, q: int) -> int:
@@ -92,14 +100,8 @@ class SubspaceLattice:
 
 
 def subspace_lattice(n: int, q: int) -> SubspaceLattice:
-    subs = all_subspaces(n, q)
-    index = {s: i for i, s in enumerate(subs)}
-    covers = []
-    for s, i in index.items():
-        for t, j in index.items():
-            if len(t) == len(s) * q and s < t:
-                covers.append((i, j))
-    graded = graded_from_poset(poset_from_covers(len(subs), covers))
+    subs, covers = _walk(n, q)
+    graded = graded_from_poset(_poset_from_reduced(len(subs), covers))
     return SubspaceLattice(n=n, q=q, graded=graded, subspaces=tuple(subs))
 
 
@@ -117,18 +119,16 @@ def standard_flag_chain(lat: SubspaceLattice) -> tuple:
 
 
 def bruhat_cell(lat: SubspaceLattice, chain: tuple, ref: tuple) -> Perm:
-    """Relative position of two flags from the intersection rank array."""
+    """Relative position of two flags from their (n+1) x (n+1) table of ranks
+    r[i][j] = dim(V_i & W_j), each rank computed once."""
     n, q = lat.n, lat.q
-    V = [lat.subspaces[i] for i in chain]
-    W = [lat.subspaces[i] for i in ref]
-
-    def r(i, j):
-        return subspace_dim(V[i] & W[j], q)
-
+    dim = {q ** k: k for k in range(n + 1)}  # a subspace of dim k has q^k vectors
+    W = [lat.subspaces[j] for j in ref]
+    r = [[dim[len(lat.subspaces[i] & Wj)] for Wj in W] for i in chain]
     w = [0] * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if r(i, j) - r(i - 1, j) - r(i, j - 1) + r(i - 1, j - 1) == 1:
+            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
                 w[i - 1] = j
     return tuple(w)
 
@@ -142,7 +142,7 @@ class HeckeConsistencyReport:
     mismatches: tuple  # witness chains
 
 
-def hecke_consistency(n: int, q: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeConsistencyReport:
+def hecke_consistency(n: int, q: int) -> HeckeConsistencyReport:
     """Check m_0 evacuation against the c_w(q) expansion on B_n(q).
 
     The coefficient of each flag in evacuate_chains(m_0) must be constant on
@@ -151,11 +151,8 @@ def hecke_consistency(n: int, q: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeCons
     lat = subspace_lattice(n, q)
     m0 = standard_flag_chain(lat)
     ev = evacuate_chains(lat.graded, ChainVector.basis(m0))
-    elt = evacuation_element(n, cap=cap)
-    qx = Fraction(q)
-    expected = {
-        w: c.eval(qx) for w, c in elt.terms.items()
-    }
+    elt = evacuation_element(n)
+    expected = {w: c.eval(Fraction(q)) for w, c in elt.terms.items()}
     cells = {}
     mismatches = []
     for chain in maximal_chains(lat.graded):

@@ -57,10 +57,6 @@ class Poset:
     def maximals(self) -> tuple:
         return tuple(t for t in range(self.p) if not self.up[t])
 
-    def is_ideal(self, members) -> bool:
-        m = set(members)
-        return all(s in m for t in m for s in range(self.p) if self.less(s, t))
-
     def is_extension(self, word) -> bool:
         if sorted(word) != list(range(self.p)):
             return False
@@ -132,11 +128,13 @@ def poset_from_covers(p: int, covers) -> Poset:
                 between = leq_mask[s] & geq_mask[t] & ~(1 << s) & ~(1 << t)
                 if not between:
                     reduced.append((s, t))
-    return _poset_from_reduced(p, reduced, leq_mask, geq_mask)
+    return _poset_from_reduced(p, reduced)
 
 
-def _poset_from_reduced(p: int, covers, leq_mask: tuple, geq_mask: tuple) -> Poset:
-    """The Poset with exactly these cover pairs and their `_closure_masks`."""
+def _poset_from_reduced(p: int, covers) -> Poset:
+    """The Poset whose cover pairs are exactly `covers`, which must already be
+    transitively reduced (lattices the program builds itself know their covers)."""
+    leq_mask, geq_mask = _closure_masks(p, covers)
     reduced = sorted(covers)
     up = [[] for _ in range(p)]
     down = [[] for _ in range(p)]
@@ -295,7 +293,7 @@ def ideals_lattice(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
     index = {m: i for i, m in enumerate(masks)}
     down_sets = _down_sets(P, range(P.p))
     covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(down_sets, m)]
-    lattice = _poset_from_reduced(len(masks), covers, *_closure_masks(len(masks), covers))
+    lattice = _poset_from_reduced(len(masks), covers)
     members = tuple(frozenset(_mask_members(m)) for m in masks)
     return lattice, members
 

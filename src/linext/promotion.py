@@ -272,10 +272,11 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
 
 
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
-    """The permutation {word: op(word)} of L(P); raises CapExceeded when e(P) > cap.
-    promote, evacuate and dual_evacuate come from the ExtensionSpace of P."""
+    """The permutation {word: op(word)} of L(P), for op promote, evacuate or
+    dual_evacuate, read off the ExtensionSpace of P; raises CapExceeded when
+    e(P) > cap."""
     if op not in _TAU_WORDS:
-        return {w: op(P, w) for w in linear_extensions(P, cap=cap)}
+        raise ValueError(f"unknown operator {op!r}")
     space = extension_space(P, cap)
     return {w: space.words[j] for w, j in zip(space.words, space.image(op))}
 

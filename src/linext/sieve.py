@@ -247,8 +247,8 @@ def special_shape_check(
     words = space.words
     evac = space.image(evacuate)
     power = permutation_power(space.image(promote), p)
-    target = (lambda w: transpose_extension(s, w)) if kind == "staircase" else (lambda w: w)
-    power_ok = all(words[power[k]] == target(w) for k, w in enumerate(words))
+    tmap = _transpose_map(s) if kind == "staircase" else range(p)  # promote^p as an id map
+    power_ok = all(words[power[k]] == tuple(tmap[t] for t in w) for k, w in enumerate(words))
     evac_ok = True
     if kind == "rectangle":
         # f e(t) = p + 1 - f(opposite t): f e is f reversed, each id sent to its opposite.

@@ -171,6 +171,16 @@ def test_cross_polytope_chain_count(n):
     assert is_slender(Q)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cross_polytope_covers_are_exact(n):
+    # the covers are built without a transitive reduction; reducing them must
+    # change nothing
+    P = cross_polytope(n)[0].poset
+    ref = poset_from_covers(P.p, list(P.covers))
+    assert (P.covers, P.up, P.down) == (ref.covers, ref.up, ref.down)
+    assert (P.leq_mask, P.geq_mask) == (ref.leq_mask, ref.geq_mask)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_signed_perm_chain_roundtrip(n):
     Q, faces = cross_polytope(n)

@@ -118,6 +118,19 @@ def test_cli_exit_codes(capsys):
     assert code == 2  # not a linear extension
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["flags", "--n", "6", "--q", "2"], 3, "n = 6 exceeds cap n <= 5 at q = 2"),
+    (["flags", "--n", "5", "--q", "3", "--verify-hecke"], 3, "n = 5 exceeds cap n <= 4 at q = 3"),
+    (["crosspoly", "--n", "7"], 3, "n = 7 exceeds cap n <= 6"),
+    (["flags", "--n", "2", "--q", "4"], 2, "supports q in [2, 3], not q = 4"),
+])
+def test_cli_size_caps_exit_3_and_unsupported_q_exits_2(argv, code, message, capsys):
+    # a size past a cap exits 3; an unsupported q is a usage error
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     # a small cap in place of the default keeps the test fast
     capped = functools.partial(posets.count_extensions, cap=1000)

@@ -24,7 +24,7 @@ def gaussian(n, k, q):
     return num // den
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_subspace_counts(n, q):
     subs = all_subspaces(n, q)
     by_dim = {}
@@ -33,6 +33,22 @@ def test_subspace_counts(n, q):
         by_dim[subspace_dim(s, q)] += 1
     for k in range(n + 1):
         assert by_dim[k] == gaussian(n, k, q)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_lattice_covers_are_the_inclusions_of_index_q(n, q):
+    # the definition the walk replaces: s < t is a cover iff s is a proper
+    # subset of t and |t| = q |s|, over all pairs
+    lat = subspace_lattice(n, q)
+    subs = lat.subspaces
+    expected = sorted(
+        (i, j)
+        for i, s in enumerate(subs)
+        for j, t in enumerate(subs)
+        if len(t) == q * len(s) and s < t
+    )
+    assert list(lat.graded.poset.covers) == expected
+    assert list(subs) == sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def test_span_of_standard_vectors():
@@ -77,12 +93,13 @@ def test_cell_sizes_are_q_powers_of_length():
         assert size == 2 ** perm_length(w)
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_hecke_consistency(n, q):
     rep = hecke_consistency(n, q)
     assert rep.ok, rep.mismatches
     # every permutation appears as a cell, including empty coefficient cells
-    assert len(rep.cells) == [1, 1, 2, 6, 24][n]
+    assert len(rep.cells) == [1, 1, 2, 6, 24, 120][n]
     # the cells partition the [n]_q! flags
-    q_factorial = {(2, 2): 3, (2, 3): 4, (3, 2): 21, (3, 3): 52, (4, 2): 315}
+    q_factorial = {(2, 2): 3, (2, 3): 4, (3, 2): 21, (3, 3): 52, (4, 2): 315,
+                   (4, 3): 2080, (5, 2): 9765}
     assert sum(size for size, _ in rep.cells.values()) == q_factorial[n, q]

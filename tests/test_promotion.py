@@ -154,6 +154,14 @@ def test_promotion_power_p_is_evac_composition(name):
     assert permutation_power(prom, P.p) == ee
 
 
+def test_extension_permutation_rejects_other_operators():
+    P = shape_poset(Shape((2, 2)))
+    with pytest.raises(ValueError, match="unknown operator"):
+        extension_permutation(P, lambda P, w: w)
+    with pytest.raises(ValueError, match="unknown operator"):
+        extension_permutation(P, tau)
+
+
 @given(st.sampled_from(sorted(CORPUS)))
 def test_conjugation_inverts_promotion(name):
     # promote then evacuate = evacuate then dual-promote

@@ -2,6 +2,7 @@
 
 import pytest
 
+from linext import sieve
 from linext.posets import Shape, count_extensions, shape_poset
 from linext.ratfunc import peval, pnorm
 from linext.sieve import (
@@ -128,6 +129,20 @@ def test_staircase_transpose():
 
     for w in linear_extensions(P):
         assert transpose_extension(s, transpose_extension(s, w)) == w
+
+
+def test_staircase_check_builds_the_transpose_map_once(monkeypatch):
+    calls = []
+    build = sieve._transpose_map
+
+    def counting(s):
+        calls.append(s)
+        return build(s)
+
+    monkeypatch.setattr(sieve, "_transpose_map", counting)
+    rep = special_shape_check(Shape((4, 3, 2, 1)), "staircase")
+    assert rep.power_ok and rep.extensions == 768
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

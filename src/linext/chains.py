@@ -320,10 +320,11 @@ def linear_tau(Q: GradedPoset, v: ChainVector, i: int) -> ChainVector:
     if not 1 <= i <= Q.height - 1:
         raise IndexError(f"tau index {i} out of range 1..{Q.height - 1}")
     out = {}
+    pairs = {}  # q -> ((q-1)/(q+1), -2/(q+1)), made once per q
 
     def acc(m, c):
         if c:
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
 
     for m, c in v.terms.items():
         nbrs = chain_neighbors(Q, m, i)
@@ -331,9 +332,12 @@ def linear_tau(Q: GradedPoset, v: ChainVector, i: int) -> ChainVector:
         if q == 0:
             acc(m, c)
             continue
-        acc(m, c * Fraction(q - 1, q + 1))
+        if q not in pairs:
+            pairs[q] = (Fraction(q - 1, q + 1), Fraction(-2, q + 1))
+        stay, move = pairs[q]
+        acc(m, c * stay)
         for m2 in nbrs:
-            acc(m2, c * Fraction(-2, q + 1))
+            acc(m2, c * move)
     return ChainVector(out)
 
 

@@ -2,7 +2,9 @@
 
 Subspaces of F_q^n are represented by the frozenset of their vectors, which
 makes inclusion and intersection trivial at desk scale (n <= SIZE_CAPS[q]).
-One walk up from {0} finds every subspace and every cover once.
+One walk up from {0} finds every subspace and every cover once.  The Bruhat
+cell of a flag V against a reference flag W is read from the level of each
+vector (the least j with v in W_j): w(i) is the least level on V_i \\ V_{i-1}.
 """
 
 from __future__ import annotations
@@ -118,19 +120,26 @@ def standard_flag_chain(lat: SubspaceLattice) -> tuple:
     return tuple(chain)
 
 
+def _levels(lat: SubspaceLattice, ref: tuple) -> dict:
+    """{v: the least j with v in W_j} for the flag W = ref."""
+    level = {}
+    for j, Wj in enumerate(ref):
+        for v in lat.subspaces[Wj]:
+            level.setdefault(v, j)
+    return level
+
+
+def _cell(lat: SubspaceLattice, chain: tuple, level: dict) -> Perm:
+    """w(i) = min level over V_i \\ V_{i-1}: the least j with W_j meeting it."""
+    V = [lat.subspaces[i] for i in chain]
+    return tuple(min(map(level.__getitem__, Vi - Vh)) for Vh, Vi in zip(V, V[1:]))
+
+
 def bruhat_cell(lat: SubspaceLattice, chain: tuple, ref: tuple) -> Perm:
-    """Relative position of two flags from their (n+1) x (n+1) table of ranks
-    r[i][j] = dim(V_i & W_j), each rank computed once."""
-    n, q = lat.n, lat.q
-    dim = {q ** k: k for k in range(n + 1)}  # a subspace of dim k has q^k vectors
-    W = [lat.subspaces[j] for j in ref]
-    r = [[dim[len(lat.subspaces[i] & Wj)] for Wj in W] for i in chain]
-    w = [0] * n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
-                w[i - 1] = j
-    return tuple(w)
+    """Relative position w of the flags V = chain and W = ref: dim(V_i & W_j)
+    = #{k <= i : w(k) <= j}, so w(i) is the least j for which W_j meets
+    V_i \\ V_{i-1}.  This holds for any reference flag W."""
+    return _cell(lat, chain, _levels(lat, ref))
 
 
 @dataclass(frozen=True)
@@ -153,10 +162,11 @@ def hecke_consistency(n: int, q: int) -> HeckeConsistencyReport:
     ev = evacuate_chains(lat.graded, ChainVector.basis(m0))
     elt = evacuation_element(n)
     expected = {w: c.eval(Fraction(q)) for w, c in elt.terms.items()}
+    level = _levels(lat, m0)
     cells = {}
     mismatches = []
     for chain in maximal_chains(lat.graded):
-        w = bruhat_cell(lat, chain, m0)
+        w = _cell(lat, chain, level)
         coeff = ev.coeff(chain)
         size, seen = cells.get(w, (0, None))
         if seen is not None and seen != coeff:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 from .posets import CapExceeded
 from .promotion import gamma_word
@@ -21,12 +21,8 @@ from .ratfunc import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
-    padd,
-    pmul,
-    pneg,
     pnorm,
     ppow,
-    pscale,
     qm1_order,
 )
 
@@ -182,13 +178,11 @@ class HeckeElt:
 
 def t_w(n: int, w: Perm) -> HeckeElt:
     """T_w as a product of generators along a reduced decomposition."""
-    elt = HeckeElt.unit(n)
-    for i in reduced_word(tuple(w)):
-        elt = elt.mul_gen_right(i)
-    return elt
+    return t_w_from_word(n, reduced_word(tuple(w)))
 
 
 def t_w_from_word(n: int, word) -> HeckeElt:
+    """The product T_{i_1} ... T_{i_k} of the generators along `word`."""
     elt = HeckeElt.unit(n)
     for i in word:
         elt = elt.mul_gen_right(i)
@@ -214,30 +208,35 @@ def _expand_numerators(n: int) -> dict:
     """Expand prod (q - 1 - 2 T_i) over the evacuation word gamma of w0.
 
     Returns {w: IntPoly}; dividing each entry by (q+1)^C(n,2) gives c_w(q).
+    Coefficients are ascending int lists while expanding; (q - 1) c is c
+    shifted up one degree minus c.
     """
-    terms = {identity_perm(n): ONE_POLY}
+    terms = {identity_perm(n): [1]}
     for i in gamma_word(n):
         out = {}
 
         def acc(w, poly):
-            out[w] = padd(out.get(w, ()), poly)
+            cur = out.get(w)
+            if cur is not None:
+                poly = [a + b for a, b in zip_longest(cur, poly, fillvalue=0)]
+            out[w] = poly
 
-        for u, poly in terms.items():
-            if not poly:
+        for u, c in terms.items():
+            if not any(c):
                 continue
-            qm1 = pmul(poly, Q_MINUS_1)
+            qm1 = [b - a for a, b in zip(c + [0], [0] + c)]
             v = apply_s_right(u, i)
             if has_right_ascent(u, i):
                 # T_u (q - 1 - 2 T_i) = (q - 1) T_u - 2 T_{u s_i}
                 acc(u, qm1)
-                acc(v, pscale(poly, -2))
+                acc(v, [-2 * x for x in c])
             else:
                 # T_u T_i = q T_{u s_i} + (q - 1) T_u, so the factor gives
                 # -(q - 1) T_u - 2q T_{u s_i}
-                acc(u, pneg(qm1))
-                acc(v, pscale((0,) + poly, -2))
+                acc(u, [-x for x in qm1])
+                acc(v, [0] + [-2 * x for x in c])
         terms = out
-    return terms
+    return {w: pnorm(c) for w, c in terms.items()}
 
 
 @lru_cache(maxsize=None)

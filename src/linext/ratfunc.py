@@ -6,12 +6,14 @@ canonical reduced form: primitive integer numerator and denominator, the
 denominator with positive leading coefficient, and the rational content
 folded into a scalar factor.
 
-Polynomial division is integer-only: `pdiv_exact` divides in Z[x] and
-raises `InexactDivision` when the quotient is not an integer polynomial,
-and factors (q - r) come off by integer synthetic division (`deflate`).
-A denominator that is +-(q+1)^k, as every Hecke coefficient has, is
-reduced by stripping (q+1) from the numerator; any other goes through
-`pgcd`.  `Fraction` appears only in the scalar factor and in evaluation.
+Polynomial division is integer-only.  One long division in Z[x] gives the
+quotient and remainder that `pdiv_exact`, `prem_monic` and the
+pseudo-remainders of `pgcd` read; a step whose quotient is not an integer
+raises `InexactDivision`, an ArithmeticError.  Factors (q - r) come off by
+integer synthetic division (`deflate`).  A denominator that is +-(q+1)^k,
+as every Hecke coefficient has, is reduced by stripping (q+1) from the
+numerator; any other goes through `pgcd`.  `Fraction` appears only in the
+scalar factor and in evaluation.
 """
 
 from __future__ import annotations
@@ -96,32 +98,33 @@ def pcontent(a: IntPoly) -> int:
     return g
 
 
+def _split_content(a: IntPoly) -> tuple:
+    """(c, a / c) for a nonzero a, with c its content signed like its leading
+    coefficient, so a / c is primitive with a positive leading coefficient."""
+    c = pcontent(a)
+    if a[-1] < 0:
+        c = -c
+    return c, tuple(x // c for x in a)
+
+
 def pprim(a: IntPoly) -> IntPoly:
     """Primitive part with positive leading coefficient."""
-    if not a:
-        return a
-    g = pcontent(a)
-    if a[-1] < 0:
-        g = -g
-    return tuple(x // g for x in a)
+    return _split_content(a)[1] if a else a
 
 
 class InexactDivision(ArithmeticError):
     """An exact polynomial division whose quotient is not in Z[x]."""
 
 
-def pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact division a / b in Z[x]; raises InexactDivision otherwise.
+def _long_division(a: IntPoly, b: IntPoly) -> tuple:
+    """(quotient, remainder) of a by b in Z[x].
 
-    Each step of the long division divides by b's leading coefficient with
-    divmod.  When a = b * c with c in Z[x], the steps produce exactly the
-    coefficients of c, so the result is the quotient over Q whenever that
-    quotient is integral.
+    Each step divides the leading coefficient of the running remainder by
+    b's with divmod.  When the quotient over Q lies in Z[x] the steps give
+    exactly its coefficients; otherwise a step raises InexactDivision.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ZERO_POLY
     rem = list(a)
     db = pdeg(b)
     quo = [0] * max(len(a) - db, 0)
@@ -135,9 +138,15 @@ def pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
             quo[i - db] = q
             for j, y in enumerate(b):
                 rem[i - db + j] -= q * y
-    if any(rem):
+    return pnorm(quo), pnorm(rem)
+
+
+def pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Exact division a / b in Z[x]; raises InexactDivision otherwise."""
+    quo, rem = _long_division(a, b)
+    if rem:
         raise InexactDivision("inexact polynomial division")
-    return pnorm(quo)
+    return quo
 
 
 def deflate(a: IntPoly, r: int, limit: int | None = None) -> tuple:
@@ -162,38 +171,17 @@ def deflate(a: IntPoly, r: int, limit: int | None = None) -> tuple:
 
 
 def prem_monic(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Remainder of a modulo b where b is monic with integer coefficients."""
-    assert b and b[-1] == 1
-    rem = list(a)
-    db = pdeg(b)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            for j, y in enumerate(b):
-                rem[i - db + j] -= c * y
-    return pnorm(rem[:db])
-
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    da, db = pdeg(a), pdeg(b)
-    lead = b[-1]
-    rem = list(pscale(a, lead ** (da - db + 1))) if da >= db else list(a)
-    rem += [0] * (da + 1 - len(rem))
-    for i in range(da, db - 1, -1):
-        c = rem[i]
-        if c % lead != 0:
-            raise AssertionError("pseudo-remainder bookkeeping broke")
-        q = c // lead
-        if q:
-            for j, y in enumerate(b):
-                rem[i - db + j] -= q * y
-    return pnorm(rem)
+    """Remainder of a modulo b in Z[x]; always defined when b is monic, and
+    InexactDivision when b is not and a step of the division is not integral."""
+    return _long_division(a, b)[1]
 
 
 def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd over Q[x] (positive leading coefficient).
 
-    Being primitive, it divides a and b in Z[x] (Gauss's lemma), so
+    Each step takes the pseudo-remainder of a by b: the remainder of
+    lead(b)^(deg a - deg b + 1) * a, whose division is integral.  Being
+    primitive, the gcd divides a and b in Z[x] (Gauss's lemma), so
     pdiv_exact by it never fails.
     """
     a, b = pprim(a), pprim(b)
@@ -201,14 +189,9 @@ def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
         if pdeg(a) < pdeg(b):
             a, b = b, a
             continue
-        r = _pseudo_rem(a, b)
+        r = _long_division(pscale(a, b[-1] ** (pdeg(a) - pdeg(b) + 1)), b)[1]
         a, b = b, pprim(r)
     return a if a else ZERO_POLY
-
-
-def root_multiplicity(a: IntPoly, r: int) -> int:
-    """Multiplicity of the integer root r (multiplicity of (x - r))."""
-    return deflate(a, r)[0]
 
 
 @lru_cache(maxsize=None)
@@ -291,14 +274,8 @@ class RatFunc:
         if not num or coef == 0:
             return RF_ZERO
         num, den = _cancel(num, den)
-        cn = pcontent(num)
-        if num[-1] < 0:
-            cn = -cn
-        cd = pcontent(den)
-        if den[-1] < 0:
-            cd = -cd
-        num = tuple(x // cn for x in num)
-        den = tuple(x // cd for x in den)
+        cn, num = _split_content(num)
+        cd, den = _split_content(den)
         coef = coef * Fraction(cn, cd)
         if coef == 0:
             return RF_ZERO
@@ -391,13 +368,7 @@ RF_Q = RatFunc(Fraction(1), Q_POLY, ONE_POLY)
 
 def divisible_by_qm1(a: RatFunc, k: int) -> bool:
     """Whether (q-1)^k divides a; the denominator must be coprime to q-1."""
-    if not a:
-        return True
-    if peval(a.den, 1) == 0:
-        raise ArithmeticError("denominator not coprime to q-1")
-    if k <= 0:
-        return True
-    return root_multiplicity(a.num, 1) >= k
+    return not a or qm1_order(a) >= k
 
 
 def qm1_order(a: RatFunc) -> int:
@@ -406,54 +377,31 @@ def qm1_order(a: RatFunc) -> int:
         raise ArithmeticError("zero has infinite (q-1) order")
     if peval(a.den, 1) == 0:
         raise ArithmeticError("denominator not coprime to q-1")
-    return root_multiplicity(a.num, 1)
+    return deflate(a.num, 1)[0]
 
 
-def _factored(p: IntPoly) -> tuple:
-    """Split off (q-1)^a and (q+1)^b factors: returns (a, b, rest)."""
+def _factor_parts(scalar: int, p: IntPoly) -> list:
+    """The displayed factors of scalar * p: the scalar unless it is 1, the
+    part of p free of (q-1) and (q+1) unless it is 1, then (q-1)^a, (q+1)^b."""
     a, p = deflate(p, 1)
-    b, p = deflate(p, -1)
-    return a, b, p
+    b, rest = deflate(p, -1)
+    parts = [str(scalar)] if scalar != 1 else []
+    if rest != ONE_POLY:
+        parts.append(f"({poly_str(rest)})")
+    for base, e in (("(q-1)", a), ("(q+1)", b)):
+        if e:
+            parts.append(base if e == 1 else f"{base}^{e}")
+    return parts
 
 
 def format_factored(rf: RatFunc) -> str:
     """Display in the factored style '-2*(q-1)^3/(q+1)^4'."""
     if not rf:
         return "0"
-    na, nb, nrest = _factored(rf.num)
-    da, db, drest = _factored(rf.den)
-
-    def powstr(base, e):
-        if e == 0:
-            return None
-        return base if e == 1 else f"{base}^{e}"
-
-    num_parts = []
-    c = rf.coef
-    if c.numerator != 1 or (na == 0 and nb == 0 and nrest == ONE_POLY):
-        num_parts.append(str(c.numerator))
-    if nrest != ONE_POLY:
-        num_parts.append(f"({poly_str(nrest)})")
-    for base, e in (("(q-1)", na), ("(q+1)", nb)):
-        s = powstr(base, e)
-        if s:
-            num_parts.append(s)
-    num_str = "*".join(num_parts) if num_parts else "1"
+    num_str = "*".join(_factor_parts(rf.coef.numerator, rf.num) or ["1"])
     if num_str.startswith("-1*"):
         num_str = "-" + num_str[3:]
-
-    den_parts = []
-    if c.denominator != 1:
-        den_parts.append(str(c.denominator))
-    if drest != ONE_POLY:
-        den_parts.append(f"({poly_str(drest)})")
-    for base, e in (("(q-1)", da), ("(q+1)", db)):
-        s = powstr(base, e)
-        if s:
-            den_parts.append(s)
-    if not den_parts:
+    den = _factor_parts(rf.coef.denominator, rf.den)
+    if not den:
         return num_str
-    den_str = "*".join(den_parts)
-    if len(den_parts) > 1:
-        den_str = f"({den_str})"
-    return f"{num_str}/{den_str}"
+    return f"{num_str}/({'*'.join(den)})" if len(den) > 1 else f"{num_str}/{den[0]}"

@@ -20,8 +20,6 @@ from .posets import (
     _mask_members,
     is_natural,
     linear_extensions,
-    maximal_chains,
-    restrict,
 )
 from .promotion import evacuate, odd_falling_word, tau_word
 from .ratfunc import IntPoly, pnorm
@@ -180,27 +178,26 @@ def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalan
         where Gamma sums the longest-chain lengths of those ideals.  (The
         opposite-parity form is forced: with equal parities the p-element
         chain itself would be a counterexample, having one extension.)
+
+    The maximal chains of the ideal below t are the cover paths from a
+    minimal element up to t, so one pass in topological order keeps, for
+    each t, the parities of their lengths (bit k for length = k mod 2) and
+    the longest length.
     """
     parities = [extension_parity(w) for w in linear_extensions(P, cap=cap)]
     odd = sum(parities)
     even = len(parities) - odd
 
     p = P.p
-    chain_lengths = [len(ch) - 1 for ch in maximal_chains(P)]
-    thm4a = all(length % 2 == p % 2 for length in chain_lengths)
-
-    thm4b = True
-    gamma = 0
-    for t in range(p):
-        down = [s for s in range(p) if P.leq(s, t)]
-        sub, _ = restrict(P, down)
-        lens = [len(ch) - 1 for ch in maximal_chains(sub)]
-        if len({length % 2 for length in lens}) > 1:
-            thm4b = False
-            break
-        gamma += max(lens)
-    if thm4b:
-        thm4b = (p * (p - 1) // 2) % 2 != gamma % 2
+    parity, longest = [0] * p, [0] * p
+    for t in sorted(range(p), key=lambda t: P.geq_mask[t].bit_count()):
+        if not P.down[t]:
+            parity[t] = 1
+        for s in P.down[t]:
+            parity[t] |= (0, 2, 1, 3)[parity[s]]  # one more edge swaps the parities
+            longest[t] = max(longest[t], longest[s] + 1)
+    thm4a = all(parity[t] == 1 << (p % 2) for t in P.maximals())
+    thm4b = 3 not in parity and (p * (p - 1) // 2) % 2 != sum(longest) % 2
 
     return SignBalanceReport(
         balanced=(even == odd),

@@ -80,6 +80,34 @@ def test_standard_flag_and_identity_cell():
     assert len(cells[(2, 1)]) == 2  # q = 2 chains in the big cell
 
 
+def rank_table_cell(lat, chain, ref) -> tuple:
+    """The relative position of two flags by its definition: from the table
+    r[i][j] = dim(V_i & W_j), w(i) = j where r[i][j] - r[i-1][j] - r[i][j-1]
+    + r[i-1][j-1] = 1."""
+    n = lat.n
+    dim = {lat.q ** k: k for k in range(n + 1)}
+    W = [lat.subspaces[j] for j in ref]
+    r = [[dim[len(lat.subspaces[i] & Wj)] for Wj in W] for i in chain]
+    w = [0] * n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
+                w[i - 1] = j
+    return tuple(w)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_bruhat_cell_against_non_standard_reference_flags(n, q):
+    lat = subspace_lattice(n, q)
+    flags = maximal_chains(lat.graded)
+    others = [m for m in flags if m != standard_flag_chain(lat)]
+    refs = [others[-1], others[len(others) // 2]]
+    for ref in refs:
+        assert bruhat_cell(lat, ref, ref) == tuple(range(1, n + 1))
+        for m in flags:
+            assert bruhat_cell(lat, m, ref) == rank_table_cell(lat, m, ref)
+
+
 def test_cell_sizes_are_q_powers_of_length():
     lat = subspace_lattice(3, 2)
     m0 = standard_flag_chain(lat)

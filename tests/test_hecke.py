@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linext.hecke import (
     DEFAULT_HECKE_CAP,
     HeckeElt,
+    _expand_numerators,
     c_w,
     check_thm_cid,
     cid_closed_form,
@@ -25,7 +26,7 @@ from linext.hecke import (
 )
 from linext.posets import CapExceeded
 from linext.promotion import gamma_word
-from linext.ratfunc import RF_ONE, RF_Q, RF_ZERO, RatFunc, ppow, qm1_order
+from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, ppow, qm1_order
 
 S4 = list(permutations((1, 2, 3, 4)))
 
@@ -165,3 +166,15 @@ def test_evacuation_element_is_a_fresh_copy():
 def test_cap_enforced():
     with pytest.raises(CapExceeded, match="n = 8 .* cap 7"):
         evacuation_element(8, cap=7)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_expand_numerators_match_the_generic_algebra(n):
+    """The numerators of E_gamma, the product of (q - 1 - 2 T_i) along gamma,
+    built by right multiplication by T_i over RatFunc."""
+    qm1, two = RatFunc.from_poly(Q_MINUS_1), RatFunc.from_rational(2)
+    elt = HeckeElt.unit(n)
+    for i in gamma_word(n):
+        elt = elt.scale(qm1) - elt.mul_gen_right(i).scale(two)
+    got = {w: RatFunc.from_poly(c) for w, c in _expand_numerators(n).items() if c}
+    assert got == elt.terms

@@ -17,8 +17,10 @@ from linext.posets import (
     ideals,
     ideals_lattice,
     linear_extensions,
+    maximal_chains,
     natural_relabel,
     poset_from_covers,
+    restrict,
     shape_poset,
 )
 from linext.promotion import (
@@ -45,6 +47,7 @@ from linext.stats import (
     dual_domino_tableaux,
     is_dual_domino_word,
     maj,
+    sign_balance_report,
     w_poly,
     wprime_poly,
 )
@@ -258,3 +261,25 @@ def test_w_polys_are_descent_censuses(P):
 def test_f_poly_sum_is_the_maj_census(s):
     words = list(linear_extensions(shape_poset(s)))
     assert f_poly_sum(s) == census([maj_tableau(s, w) for w in words])
+
+
+def sign_balance_hypotheses_by_chains(P) -> tuple:
+    """(a) and (b) of the sign-balance theorem from the maximal chains of P
+    and of the principal ideal below each t."""
+    p = P.p
+    thm4a = all((len(ch) - 1) % 2 == p % 2 for ch in maximal_chains(P))
+    gamma = 0
+    for t in range(p):
+        sub, _ = restrict(P, [s for s in range(p) if P.leq(s, t)])
+        lengths = [len(ch) - 1 for ch in maximal_chains(sub)]
+        if len({length % 2 for length in lengths}) > 1:
+            return thm4a, False
+        gamma += max(lengths)
+    return thm4a, (p * (p - 1) // 2) % 2 != gamma % 2
+
+
+@given(dag_posets())
+@settings(max_examples=150, deadline=None)
+def test_sign_balance_hypotheses_match_the_chain_definition(P):
+    rep = sign_balance_report(P)
+    assert (rep.thm4a_applies, rep.thm4b_applies) == sign_balance_hypotheses_by_chains(P)

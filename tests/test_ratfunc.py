@@ -205,3 +205,58 @@ def test_poly_str_and_factored_format():
     )
     assert format_factored(neg) == "-2*(q-1)^3/(q+1)^4"
     assert format_factored(RF_ZERO) == "0"
+
+
+def fraction_divmod(a, b) -> tuple:
+    """(quotient, remainder) of a by b over Q, by schoolbook long division on
+    Fraction coefficients, ascending, with trailing zeros stripped."""
+    rem = [Fraction(x) for x in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        quo[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= quo[i] * y
+    return pnorm(quo), pnorm(rem)
+
+
+def fraction_gcd(a, b) -> tuple:
+    """The monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return tuple(Fraction(x) / a[-1] for x in a)
+
+
+@given(polys, polys, polys)
+@settings(max_examples=300)
+def test_long_division_matches_fraction_long_division(a, b, r):
+    """pdiv_exact and prem_monic against division over Q, on quotients that
+    are and are not integral, with monic and non-monic divisors."""
+    if not b:
+        return
+    for divisor in (b, b[:-1] + (1,)):
+        for num in (a, pmul(a, divisor), padd(pmul(a, divisor), pnorm(r[:pdeg(divisor)]))):
+            quo, rem = fraction_divmod(num, divisor)
+            if all(x.denominator == 1 for x in quo):
+                assert prem_monic(num, divisor) == tuple(map(int, rem))
+                if rem:
+                    with pytest.raises(InexactDivision, match="inexact polynomial division"):
+                        pdiv_exact(num, divisor)
+                else:
+                    assert pdiv_exact(num, divisor) == tuple(map(int, quo))
+            else:
+                assert divisor[-1] not in (1, -1)
+                for divide in (pdiv_exact, prem_monic):
+                    with pytest.raises(InexactDivision, match="quotient not integral"):
+                        divide(num, divisor)
+
+
+@given(polys, polys, polys)
+@settings(max_examples=200)
+def test_pgcd_matches_fraction_euclid(a, b, c):
+    for x, y in ((a, b), (pmul(a, c), pmul(b, c))):
+        g = pgcd(x, y)
+        if not (x or y):
+            assert g == ()
+            continue
+        assert pcontent(g) == 1 and g[-1] > 0
+        assert tuple(Fraction(v) / g[-1] for v in g) == fraction_gcd(x, y)

@@ -270,7 +270,8 @@ class ChainVector:
 
     def __init__(self, terms: dict = None):
         self.terms = {
-            m: Fraction(c) for m, c in (terms or {}).items() if c
+            m: c if isinstance(c, Fraction) else Fraction(c)
+            for m, c in (terms or {}).items() if c
         }
 
     @staticmethod

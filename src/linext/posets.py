@@ -7,12 +7,19 @@ word is an order ideal.
 L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
 rule for the elements that can be added to an ideal (`_addable`): one layered
 walk (`_ideal_layers`) serves `count_extensions`, `ideals` and
-`ideals_lattice`, and `linear_extensions` follows the rule depth first.
+`ideals_lattice`, and `_extension_walk` follows the rule depth first.
+
+The walk fills one ExtensionSpace per poset: L(P) in lex order, with the
+tau_i rows built on first use, kept for the SPACE_CACHE_SIZE posets built
+last.  A capped `linear_extensions` yields its words, so every capped
+consumer of one poset shares one walk and one set of word tuples.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 Word = tuple  # tuple[int, ...], a linear extension as a word
@@ -216,16 +223,9 @@ def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
         layer = nxt
 
 
-def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
-    """Yield every linear extension exactly once, in lexicographic word order.
-
-    Unless `cap` is None, e(P) is counted first, and CapExceeded is raised
-    before the first word when it exceeds `cap`.
-    """
-    if cap is not None:
-        n = count_extensions(P)
-        if n > cap:
-            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
+def _extension_walk(P: Poset) -> Iterator[Word]:
+    """Every linear extension once, in lexicographic word order: the depth
+    first walk of J(P) over addable elements, lazy and uncapped."""
     above = [_down_sets(P, P.up[t]) for t in range(P.p)]
     word = []
 
@@ -245,6 +245,75 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Wo
             word.pop()
 
     yield from rec(0, sum(_addable(_down_sets(P, range(P.p)), 0)))
+
+
+def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
+    """Yield every linear extension exactly once, in lexicographic word order.
+
+    Unless `cap` is None, the words are those held by the cached
+    ExtensionSpace of P, and CapExceeded is raised before the first word
+    when e(P) exceeds `cap`.  With `cap` None they come lazily from the walk,
+    and nothing is held.
+    """
+    if cap is None:
+        yield from _extension_walk(P)
+    else:
+        yield from extension_space(P, cap).words
+
+
+class ExtensionSpace:
+    """L(P) indexed: `words` in lex order, and rows tau[i] (1 <= i < p) with
+    tau[i][k] the index of tau_i(words[k]), built on first use."""
+
+    def __init__(self, P: Poset, words: tuple):
+        self.p, self.words, self._leq, self._images = P.p, words, P.leq_mask, {}
+
+    @cached_property
+    def tau(self) -> list:
+        index = {w: k for k, w in enumerate(self.words)}  # only while building
+        leq = self._leq
+        rows = [None]
+        for i in range(1, self.p):
+            row = array("i", range(len(self.words)))
+            for k, w in enumerate(self.words):
+                # a precedes b, so they are comparable iff a <= b in P; a swap
+                # is filled at both ends from its lex-smaller word, where a < b.
+                a, b = w[i - 1], w[i]
+                if a < b and not leq[a] >> b & 1:
+                    row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
+                    row[j] = k
+            rows.append(row)
+        return rows
+
+    def image(self, taus: tuple) -> array:
+        """image[k] is the index of words[k] tau_{taus[0]} tau_{taus[1]} ...:
+        the rows composed along the tau word `taus`, then kept."""
+        if taus not in self._images:
+            cur = range(len(self.words))
+            for i in taus:
+                t = self.tau[i]
+                cur = [t[x] for x in cur]
+            self._images[taus] = array("i", cur)
+        return self._images[taus]
+
+
+SPACE_CACHE_SIZE = 4
+_SPACES = {}  # Poset -> ExtensionSpace, oldest first
+
+
+def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
+    """The ExtensionSpace of P, kept for the SPACE_CACHE_SIZE posets built
+    last; raises CapExceeded when e(P) > cap, on a cache hit too."""
+    space = _SPACES.get(P)
+    if cap is not None:
+        n = count_extensions(P) if space is None else len(space.words)
+        if n > cap:
+            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
+    if space is None:
+        space = _SPACES[P] = ExtensionSpace(P, tuple(_extension_walk(P)))
+        if len(_SPACES) > SPACE_CACHE_SIZE:
+            del _SPACES[next(iter(_SPACES))]
+    return space
 
 
 def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> int:

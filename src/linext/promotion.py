@@ -3,24 +3,23 @@
 All operators act on the right, so compositions read left to right: applying
 "promote then evacuate" to f computes (f d) e.  Words are tuples of element
 ids as produced by posets.linear_extensions.  Over all of L(P), promotion,
-evacuation and dual evacuation are read off one cached ExtensionSpace per poset.
+evacuation and dual evacuation are the rows of the cached
+posets.ExtensionSpace composed along their tau words (`_TAU_WORDS`).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from .posets import (
     DEFAULT_EXTENSION_CAP,
-    CapExceeded,
     Poset,
     Word,
     conjugate_extension,
     dual_poset,
-    linear_extensions,
+    extension_space,
     restrict,
 )
 
@@ -223,54 +222,6 @@ class OrbitReport:
 _TAU_WORDS = {promote: delta_word, evacuate: gamma_word, dual_evacuate: gamma_star_word}
 
 
-class ExtensionSpace:
-    """L(P) indexed: `words` in lex order, and rows tau[i] (1 <= i < p) with
-    tau[i][k] the index of tau_i(words[k])."""
-
-    def __init__(self, P: Poset, words: tuple):
-        self.p, self.words, self._images = P.p, words, {}
-        index = {w: k for k, w in enumerate(words)}  # only while building
-        leq = P.leq_mask
-        self.tau = [None]
-        for i in range(1, P.p):
-            row = array("i", range(len(words)))
-            for k, w in enumerate(words):
-                # a precedes b, so they are comparable iff a <= b in P; a swap
-                # is filled at both ends from its lex-smaller word, where a < b.
-                a, b = w[i - 1], w[i]
-                if a < b and not leq[a] >> b & 1:
-                    row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
-                    row[j] = k
-            self.tau.append(row)
-
-    def image(self, op) -> array:
-        """image[k] is the index of op(words[k]) for op promote, evacuate or
-        dual_evacuate: the rows composed along op's tau word, then kept."""
-        if op not in self._images:
-            cur = range(len(self.words))
-            for i in _TAU_WORDS[op](self.p):
-                t = self.tau[i]
-                cur = [t[x] for x in cur]
-            self._images[op] = array("i", cur)
-        return self._images[op]
-
-
-SPACE_CACHE_SIZE = 4
-_SPACES = {}  # Poset -> ExtensionSpace, oldest first
-
-
-def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
-    """The ExtensionSpace of P, cached; raises CapExceeded when e(P) > cap."""
-    space = _SPACES.get(P)
-    if space is None:
-        space = _SPACES[P] = ExtensionSpace(P, tuple(linear_extensions(P, cap=cap)))
-        if len(_SPACES) > SPACE_CACHE_SIZE:
-            del _SPACES[next(iter(_SPACES))]
-    elif cap is not None and len(space.words) > cap:  # the message linear_extensions gives
-        raise CapExceeded(f"e(P) = {len(space.words)} exceeds cap {cap}")
-    return space
-
-
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
     """The permutation {word: op(word)} of L(P), for op promote, evacuate or
     dual_evacuate, read off the ExtensionSpace of P; raises CapExceeded when
@@ -278,7 +229,7 @@ def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dic
     if op not in _TAU_WORDS:
         raise ValueError(f"unknown operator {op!r}")
     space = extension_space(P, cap)
-    return {w: space.words[j] for w, j in zip(space.words, space.image(op))}
+    return {w: space.words[j] for w, j in zip(space.words, space.image(_TAU_WORDS[op](P.p)))}
 
 
 def cycle_lengths(perm: dict) -> tuple:
@@ -320,10 +271,10 @@ def permutation_power(perm: dict, k: int) -> dict:
 
 
 OPERATORS = {  # name -> ExtensionSpace -> the permutation of its indices
-    "promote": lambda S: S.image(promote),
-    "evacuate": lambda S: S.image(evacuate),
-    "dual_evacuate": lambda S: S.image(dual_evacuate),
-    "promote_p": lambda S: permutation_power(S.image(promote), S.p),
+    "promote": lambda S: S.image(delta_word(S.p)),
+    "evacuate": lambda S: S.image(gamma_word(S.p)),
+    "dual_evacuate": lambda S: S.image(gamma_star_word(S.p)),
+    "promote_p": lambda S: permutation_power(S.image(delta_word(S.p)), S.p),
 }
 
 
@@ -352,4 +303,4 @@ def dihedral_group_order(first: dict, second: dict) -> int:
 def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
     """Order of the group generated by evacuation and dual evacuation on L(P)."""
     space = extension_space(P, cap)
-    return dihedral_group_order(space.image(evacuate), space.image(dual_evacuate))
+    return dihedral_group_order(space.image(gamma_word(P.p)), space.image(gamma_star_word(P.p)))

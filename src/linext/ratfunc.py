@@ -275,7 +275,11 @@ class RatFunc:
             return RF_ZERO
         num, den = _cancel(num, den)
         cn, num = _split_content(num)
-        cd, den = _split_content(den)
+        powers = _qp1_powers(pdeg(den))
+        if den in powers:  # +-(q+1)^k: content 1, and the sign goes to coef
+            cd, den = (1 if den == powers[0] else -1), powers[0]
+        else:
+            cd, den = _split_content(den)
         coef = coef * Fraction(cn, cd)
         if coef == 0:
             return RF_ZERO

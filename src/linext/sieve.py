@@ -16,17 +16,17 @@ from .posets import (
     Poset,
     Shape,
     Word,
+    extension_space,
     linear_extensions,
     shape_poset,
 )
 from .promotion import (
+    delta_word,
     dihedral_group_order,
-    dual_evacuate,
-    evacuate,
-    extension_space,
+    gamma_star_word,
+    gamma_word,
     orbit_structure,
     permutation_power,
-    promote,
 )
 from .ratfunc import (
     IntPoly,
@@ -245,8 +245,8 @@ def special_shape_check(
     p = P.p
     space = extension_space(P, cap)
     words = space.words
-    evac = space.image(evacuate)
-    power = permutation_power(space.image(promote), p)
+    evac = space.image(gamma_word(p))
+    power = permutation_power(space.image(delta_word(p)), p)
     tmap = _transpose_map(s) if kind == "staircase" else range(p)  # promote^p as an id map
     power_ok = all(words[power[k]] == tuple(tmap[t] for t in w) for k, w in enumerate(words))
     evac_ok = True
@@ -262,6 +262,6 @@ def special_shape_check(
         shape=s,
         extensions=len(words),
         power_ok=power_ok,
-        dihedral=dihedral_group_order(evac, space.image(dual_evacuate)),
+        dihedral=dihedral_group_order(evac, space.image(gamma_star_word(p))),
         evac_formula_ok=evac_ok,
     )

@@ -4,6 +4,10 @@ The comaj machinery requires a natural partial order (the order relation
 refines the integer order on ids).  Entry points that take an arbitrary
 poset relabel it first via natural_relabel; W'_P only depends on P up to
 isomorphism, so this is harmless.
+
+The per-word statistics read L(P) from the poset's cached ExtensionSpace
+(through the capped `linear_extensions`), and the self-evacuating words
+are the fixed points of evacuation's index array on it.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from .posets import (
     _addable,
     _down_sets,
     _mask_members,
+    extension_space,
     is_natural,
     linear_extensions,
 )
-from .promotion import evacuate, odd_falling_word, tau_word
+from .promotion import gamma_word, odd_falling_word, tau_word
 from .ratfunc import IntPoly, pnorm
 
 
@@ -129,7 +134,10 @@ def is_dual_domino_word(P: Poset, word: Word) -> bool:
 
 
 def self_evacuating(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
-    return [w for w in linear_extensions(P, cap=cap) if evacuate(P, w) == w]
+    """The fixed points of evacuation, read off its index array on L(P)."""
+    space = extension_space(P, cap)
+    evac = space.image(gamma_word(P.p))
+    return [w for k, w in enumerate(space.words) if evac[k] == k]
 
 
 def domino_to_selfevac(P: Poset, word: Word) -> Word:

@@ -16,6 +16,7 @@ from .posets import (
     antichain_cuts_all_chains,
     count_extensions,
     delete_element,
+    extension_space,
     is_antichain,
     linear_extensions,
     natural_relabel,
@@ -23,9 +24,9 @@ from .posets import (
 )
 from .promotion import (
     compose,
-    dual_evacuate,
+    delta_word,
     evacuate,
-    extension_space,
+    gamma_star_word,
     gamma_word,
     odd_falling_word,
     permutation_power,
@@ -53,7 +54,7 @@ def _corpus(limit: int = 8) -> dict:
 def _monoid_identities(P: Poset) -> dict:
     """The identities among promote, evac and dual_evac as permutations of L(P)."""
     space = extension_space(P)
-    pr, ev, dev = (space.image(op) for op in (promote, evacuate, dual_evacuate))
+    pr, ev, dev = (space.image(word(P.p)) for word in (delta_word, gamma_word, gamma_star_word))
     ident = {k: k for k in range(len(pr))}
     inv_pr = {v: k for k, v in enumerate(pr)}
     return {

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linext import posets, promotion, sieve, stats, verify
+from linext import posets, sieve, stats
 from linext.corpus import corpus_p_le
 from linext.posets import (
     Shape,
@@ -224,17 +224,22 @@ def test_dihedral_orders():
 
 # --- the cached ExtensionSpace -----------------------------------------------
 
-def test_one_enumeration_serves_every_operator_of_a_poset(monkeypatch):
-    monkeypatch.setattr(promotion, "_SPACES", {})
+def _count_walks(monkeypatch) -> list:
+    """Empty the space cache and record the poset of every walk of L(P)."""
+    monkeypatch.setattr(posets, "_SPACES", {})
     calls = []
-    enumerate_ = posets.linear_extensions
+    walk = posets._extension_walk
 
-    def counting(P, cap=posets.DEFAULT_EXTENSION_CAP):
+    def counting(P):
         calls.append(P)
-        return enumerate_(P, cap)
+        return walk(P)
 
-    for module in (posets, promotion, sieve, stats, verify):
-        monkeypatch.setattr(module, "linear_extensions", counting)
+    monkeypatch.setattr(posets, "_extension_walk", counting)
+    return calls
+
+
+def test_one_enumeration_serves_every_operator_of_a_poset(monkeypatch):
+    calls = _count_walks(monkeypatch)
     P = shape_poset(Shape((4, 4)))
     for op in (promote, evacuate, dual_evacuate):
         assert len(extension_permutation(P, op)) == 14
@@ -243,12 +248,30 @@ def test_one_enumeration_serves_every_operator_of_a_poset(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_enumeration_serves_every_statistic_of_a_poset(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    s = Shape((4, 4))
+    P = shape_poset(s)
+    words = list(linear_extensions(P))
+    assert len(words) == 14
+    assert stats.wprime_poly(P) == stats.w_poly(P) == (1, 0, 1, 1, 2, 1, 2, 1, 2, 1, 1, 0, 1)
+    assert len(stats.self_evacuating(P)) == 6
+    assert stats.sign_balance_report(P).even == 7
+    assert sieve.f_poly_sum(s) == sieve.f_poly_hook(s)
+    assert len(calls) == 1
+    # the capped words are the tuples the space holds; uncapped, the walk
+    # runs again and nothing more is cached
+    assert all(a is b for a, b in zip(words, linear_extensions(P)))
+    assert list(linear_extensions(P, cap=None)) == words
+    assert len(calls) == 2 and list(posets._SPACES) == [P]
+
+
 def test_space_cache_keeps_only_the_newest_posets(monkeypatch):
-    monkeypatch.setattr(promotion, "_SPACES", {})
+    monkeypatch.setattr(posets, "_SPACES", {})
     newest = []
     for n in range(1, 11):
         P = chain(n)
         assert orbit_structure(P, "promote").size == 1
-        newest = (newest + [P])[-promotion.SPACE_CACHE_SIZE:]
-        assert list(promotion._SPACES) == newest
-    assert len(promotion._SPACES) == promotion.SPACE_CACHE_SIZE
+        newest = (newest + [P])[-posets.SPACE_CACHE_SIZE:]
+        assert list(posets._SPACES) == newest
+    assert len(posets._SPACES) == posets.SPACE_CACHE_SIZE

@@ -14,6 +14,7 @@ from linext.posets import (
     CapExceeded,
     Shape,
     count_extensions,
+    extension_space,
     ideals,
     ideals_lattice,
     linear_extensions,
@@ -25,13 +26,15 @@ from linext.posets import (
 )
 from linext.promotion import (
     compose,
+    delta_word,
     dihedral_order,
     dual_evacuate,
     dual_evacuate_via_dual,
     evacuate,
     evacuate_by_freezing,
     extension_permutation,
-    extension_space,
+    gamma_star_word,
+    gamma_word,
     orbit_structure,
     permutation_power,
     promote,
@@ -47,6 +50,7 @@ from linext.stats import (
     dual_domino_tableaux,
     is_dual_domino_word,
     maj,
+    self_evacuating,
     sign_balance_report,
     w_poly,
     wprime_poly,
@@ -148,12 +152,12 @@ def test_extension_space_matches_reference_routes(P):
     assert list(words) == list(linear_extensions(P))
     for i in range(1, P.p):
         assert [words[k] for k in space.tau[i]] == [tau(P, w, i) for w in words]
-    for op, ref in (
-        (promote, lambda w: promote_slide(P, w)[0]),
-        (evacuate, lambda w: evacuate_by_freezing(P, w)),
-        (dual_evacuate, lambda w: dual_evacuate_via_dual(P, w)),
+    for taus, ref in (
+        (delta_word(P.p), lambda w: promote_slide(P, w)[0]),
+        (gamma_word(P.p), lambda w: evacuate_by_freezing(P, w)),
+        (gamma_star_word(P.p), lambda w: dual_evacuate_via_dual(P, w)),
     ):
-        assert [words[k] for k in space.image(op)] == [ref(w) for w in words]
+        assert [words[k] for k in space.image(taus)] == [ref(w) for w in words]
 
 
 @given(dag_posets(max_p=6))
@@ -189,6 +193,27 @@ def test_count_matches_enumeration_and_cap_is_checked_first(P):
     words = linear_extensions(P, cap=e - 1)
     with pytest.raises(CapExceeded, match=f"e\\(P\\) = {e} exceeds cap {e - 1}"):
         next(words)
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_capped_words_are_the_walk_and_a_cache_hit_checks_the_cap(P):
+    words = list(linear_extensions(P, cap=None))
+    e = len(words)
+    space = extension_space(P, cap=e)
+    assert list(linear_extensions(P, cap=e)) == words
+    assert extension_space(P) is space
+    capped = linear_extensions(P, cap=e - 1)  # a generator: nothing runs yet
+    with pytest.raises(CapExceeded, match=f"e\\(P\\) = {e} exceeds cap {e - 1}"):
+        next(capped)
+
+
+@given(dag_posets(max_p=6))
+@settings(max_examples=60, deadline=None)
+def test_self_evacuating_are_the_fixed_points_of_freezing(P):
+    assert self_evacuating(P) == [
+        w for w in linear_extensions(P, cap=None) if evacuate_by_freezing(P, w) == w
+    ]
 
 
 def brute_force_ideals(P) -> list:

@@ -23,7 +23,7 @@ from .posets import (
     natural_relabel,
     shape_poset,
 )
-from .ratfunc import format_factored, peval, poly_str
+from .ratfunc import format_factored, poly_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("orbits")
     poset_args(p)
-    p.add_argument("--op", choices=sorted(promotion.OPERATORS), default="promote")
+    p.add_argument("--op", choices=sorted(promotion.ORBIT_OPERATORS), default="promote")
     p.set_defaults(func=cmd_orbits)
 
     p = add_verb("dihedral")

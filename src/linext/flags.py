@@ -21,31 +21,18 @@ SIZE_CAPS = {2: 5, 3: 4}  # q -> largest n
 
 
 def span(vectors, n: int, q: int) -> frozenset:
-    """The subspace spanned by the given vectors, as a set of vectors."""
-    basis = []
+    """The subspace spanned by the given vectors, as a set of vectors: from
+    {0}, s + <v> for each v not yet in s, the step `_walk` takes."""
+    out = frozenset({(0,) * n})
     for v in vectors:
-        v = _reduce(v, basis, q)
-        if any(v):
-            basis.append(v)
-    out = frozenset({tuple([0] * n)})
-    for b in basis:
-        out = _coset_union(out, b, q)
+        if tuple(v) not in out:
+            out = _coset_union(out, v, q)
     return out
 
 
 def _coset_union(s: frozenset, v, q: int) -> frozenset:
     """s + <v>, the union of the cosets s + c v."""
     return frozenset(tuple((x + c * y) % q for x, y in zip(w, v)) for w in s for c in range(q))
-
-
-def _reduce(v, basis, q):
-    v = list(v)
-    for b in basis:
-        piv = next(i for i, x in enumerate(b) if x)
-        if v[piv]:
-            c = v[piv] * pow(b[piv], -1, q) % q
-            v = [(x - c * y) % q for x, y in zip(v, b)]
-    return tuple(v)
 
 
 def _walk(n: int, q: int) -> tuple:

@@ -9,10 +9,12 @@ rule for the elements that can be added to an ideal (`_addable`): one layered
 walk (`_ideal_layers`) serves `count_extensions`, `ideals` and
 `ideals_lattice`, and `_extension_walk` follows the rule depth first.
 
-The walk fills one ExtensionSpace per poset: L(P) in lex order, with the
-tau_i rows built on first use, kept for the SPACE_CACHE_SIZE posets built
-last.  A capped `linear_extensions` yields its words, so every capped
-consumer of one poset shares one walk and one set of word tuples.
+The walk fills one ExtensionSpace per poset: L(P) in lex order, kept for the
+SPACE_CACHE_SIZE posets built last.  On first use it builds the tau_i rows,
+then one map from promote, evacuate and dual_evacuate to their index arrays,
+grown along Stanley's runs delta_m = tau_1 ... tau_m (two passes per row).
+A capped `linear_extensions` yields its words, so every capped consumer of
+one poset shares one walk and one set of word tuples.
 """
 
 from __future__ import annotations
@@ -262,11 +264,12 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Wo
 
 
 class ExtensionSpace:
-    """L(P) indexed: `words` in lex order, and rows tau[i] (1 <= i < p) with
-    tau[i][k] the index of tau_i(words[k]), built on first use."""
+    """L(P) indexed: `words` in lex order, rows tau[i] (1 <= i < p) with
+    tau[i][k] the index of tau_i(words[k]), and the `operators` promote,
+    evacuate and dual_evacuate as index arrays; both built on first use."""
 
     def __init__(self, P: Poset, words: tuple):
-        self.p, self.words, self._leq, self._images = P.p, words, P.leq_mask, {}
+        self.p, self.words, self._leq = P.p, words, P.leq_mask
 
     @cached_property
     def tau(self) -> list:
@@ -285,16 +288,27 @@ class ExtensionSpace:
             rows.append(row)
         return rows
 
-    def image(self, taus: tuple) -> array:
-        """image[k] is the index of words[k] tau_{taus[0]} tau_{taus[1]} ...:
-        the rows composed along the tau word `taus`, then kept."""
-        if taus not in self._images:
-            cur = range(len(self.words))
-            for i in taus:
-                t = self.tau[i]
-                cur = [t[x] for x in cur]
-            self._images[taus] = array("i", cur)
-        return self._images[taus]
+    @cached_property
+    def operators(self) -> dict:
+        """{name: array}, array[k] the index of words[k] promoted, evacuated
+        or dual evacuated.  Rows tau_1 .. tau_{p-1} give delta and
+        gamma = delta_{p-1} ... delta_1 with delta_m = tau_1 ... tau_m; rows
+        tau_{p-1} .. tau_1 give gamma* = delta*_1 ... delta*_{p-1} with
+        delta*_k = tau_{p-1} ... tau_k."""
+        rows = self.tau[1:]
+        promote, evacuate = self._runs(rows)
+        _, dual_evacuate = self._runs(rows[::-1])
+        return {"promote": promote, "evacuate": evacuate, "dual_evacuate": dual_evacuate}
+
+    def _runs(self, rows) -> tuple:
+        """(D, G) over rows t_1 .. t_r: D = t_1 ... t_r and G = D_r ... D_1 with
+        D_m = t_1 ... t_m, two passes per row (right action, so t_m acts after
+        D_{m-1} and D_m before G_{m-1})."""
+        d = g = range(len(self.words))
+        for t in rows:
+            d = list(map(t.__getitem__, d))
+            g = list(map(g.__getitem__, d))
+        return array("i", d), array("i", g)
 
 
 SPACE_CACHE_SIZE = 4
@@ -306,7 +320,7 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     last; raises CapExceeded when e(P) > cap, on a cache hit too."""
     space = _SPACES.get(P)
     if cap is not None:
-        n = count_extensions(P) if space is None else len(space.words)
+        n = count_extensions(P, DEFAULT_IDEAL_CAP, cap) if space is None else len(space.words)
         if n > cap:
             raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     if space is None:
@@ -316,15 +330,24 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     return space
 
 
-def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> int:
+def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP, extension_cap: int = None) -> int:
     """e(P), the number of paths from the empty ideal to P in J(P).
 
     Reads the layered walk of J(P) that `ideals` reads; raises CapExceeded
-    once more than `cap` ideals are found.
+    once more than `cap` ideals are found.  The path sum of a complete layer
+    is a lower bound on e(P), as sum over |I| = k of e(I) e(P - I) is e(P):
+    when that of the last one exceeds `extension_cap`, the e(P) message is
+    raised instead.
     """
     cap_message = f"e(P) of a {P.p}-element poset needs more than {cap} order ideals"
-    for layer in _ideal_layers(P, cap, cap_message):
-        pass
+    try:
+        for layer in _ideal_layers(P, cap, cap_message):
+            pass
+    except CapExceeded:
+        bound = sum(layer.values())
+        if extension_cap is not None and bound > extension_cap:
+            raise CapExceeded(f"e(P) >= {bound} exceeds cap {extension_cap}") from None
+        raise
     return layer[(1 << P.p) - 1]
 
 

@@ -3,8 +3,9 @@
 All operators act on the right, so compositions read left to right: applying
 "promote then evacuate" to f computes (f d) e.  Words are tuples of element
 ids as produced by posets.linear_extensions.  Over all of L(P), promotion,
-evacuation and dual evacuation are the rows of the cached
-posets.ExtensionSpace composed along their tau words (`_TAU_WORDS`).
+evacuation and dual evacuation are the index arrays of the cached
+posets.ExtensionSpace, grown from its tau rows along the delta runs; every
+permutation and orbit consumer here reads that one map by operator name.
 """
 
 from __future__ import annotations
@@ -219,17 +220,14 @@ class OrbitReport:
     size: int  # e(P)
 
 
-_TAU_WORDS = {promote: delta_word, evacuate: gamma_word, dual_evacuate: gamma_star_word}
-
-
 def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
     """The permutation {word: op(word)} of L(P), for op promote, evacuate or
     dual_evacuate, read off the ExtensionSpace of P; raises CapExceeded when
     e(P) > cap."""
-    if op not in _TAU_WORDS:
+    if op not in (promote, evacuate, dual_evacuate):
         raise ValueError(f"unknown operator {op!r}")
     space = extension_space(P, cap)
-    return {w: space.words[j] for w, j in zip(space.words, space.image(_TAU_WORDS[op](P.p)))}
+    return {w: space.words[j] for w, j in zip(space.words, space.operators[op.__name__])}
 
 
 def cycle_lengths(perm: dict) -> tuple:
@@ -270,19 +268,20 @@ def permutation_power(perm: dict, k: int) -> dict:
     return out
 
 
-OPERATORS = {  # name -> ExtensionSpace -> the permutation of its indices
-    "promote": lambda S: S.image(delta_word(S.p)),
-    "evacuate": lambda S: S.image(gamma_word(S.p)),
-    "dual_evacuate": lambda S: S.image(gamma_star_word(S.p)),
-    "promote_p": lambda S: permutation_power(S.image(delta_word(S.p)), S.p),
-}
+ORBIT_OPERATORS = ("promote", "evacuate", "dual_evacuate", "promote_p")
 
 
 def orbit_structure(P: Poset, operator: str, cap: int = DEFAULT_EXTENSION_CAP) -> OrbitReport:
-    if operator not in OPERATORS:
+    """The cycle type on L(P) of an operator of ORBIT_OPERATORS; promote_p is
+    promotion to the power p."""
+    if operator not in ORBIT_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     space = extension_space(P, cap)
-    return OrbitReport(operator, cycle_lengths(OPERATORS[operator](space)), len(space.words))
+    if operator == "promote_p":
+        perm = permutation_power(space.operators["promote"], P.p)
+    else:
+        perm = space.operators[operator]
+    return OrbitReport(operator, cycle_lengths(perm), len(space.words))
 
 
 def dihedral_group_order(first: dict, second: dict) -> int:
@@ -302,5 +301,5 @@ def dihedral_group_order(first: dict, second: dict) -> int:
 
 def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
     """Order of the group generated by evacuation and dual evacuation on L(P)."""
-    space = extension_space(P, cap)
-    return dihedral_group_order(space.image(gamma_word(P.p)), space.image(gamma_star_word(P.p)))
+    ops = extension_space(P, cap).operators
+    return dihedral_group_order(ops["evacuate"], ops["dual_evacuate"])

@@ -20,14 +20,7 @@ from .posets import (
     linear_extensions,
     shape_poset,
 )
-from .promotion import (
-    delta_word,
-    dihedral_group_order,
-    gamma_star_word,
-    gamma_word,
-    orbit_structure,
-    permutation_power,
-)
+from .promotion import dihedral_group_order, orbit_structure, permutation_power
 from .ratfunc import (
     IntPoly,
     ONE_POLY,
@@ -245,8 +238,8 @@ def special_shape_check(
     p = P.p
     space = extension_space(P, cap)
     words = space.words
-    evac = space.image(gamma_word(p))
-    power = permutation_power(space.image(delta_word(p)), p)
+    evac = space.operators["evacuate"]
+    power = permutation_power(space.operators["promote"], p)
     tmap = _transpose_map(s) if kind == "staircase" else range(p)  # promote^p as an id map
     power_ok = all(words[power[k]] == tuple(tmap[t] for t in w) for k, w in enumerate(words))
     evac_ok = True
@@ -262,6 +255,6 @@ def special_shape_check(
         shape=s,
         extensions=len(words),
         power_ok=power_ok,
-        dihedral=dihedral_group_order(evac, space.image(gamma_star_word(p))),
+        dihedral=dihedral_group_order(evac, space.operators["dual_evacuate"]),
         evac_formula_ok=evac_ok,
     )

@@ -26,7 +26,7 @@ from .posets import (
     is_natural,
     linear_extensions,
 )
-from .promotion import gamma_word, odd_falling_word, tau_word
+from .promotion import odd_falling_word, tau_word
 from .ratfunc import IntPoly, pnorm
 
 
@@ -136,7 +136,7 @@ def is_dual_domino_word(P: Poset, word: Word) -> bool:
 def self_evacuating(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     """The fixed points of evacuation, read off its index array on L(P)."""
     space = extension_space(P, cap)
-    evac = space.image(gamma_word(P.p))
+    evac = space.operators["evacuate"]
     return [w for k, w in enumerate(space.words) if evac[k] == k]
 
 

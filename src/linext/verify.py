@@ -9,24 +9,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chains, corpus, flags, hecke, promotion, sieve, stats
+from . import chains, flags, hecke, sieve, stats
+from .corpus import boolean_lattice, corpus_p_le, v_poset, weak_order_s3
 from .posets import (
     Poset,
     Shape,
     antichain_cuts_all_chains,
+    chain,
     count_extensions,
     delete_element,
     extension_space,
+    ideals_lattice,
     is_antichain,
     linear_extensions,
     natural_relabel,
-    shape_poset,
 )
 from .promotion import (
     compose,
-    delta_word,
     evacuate,
-    gamma_star_word,
     gamma_word,
     odd_falling_word,
     permutation_power,
@@ -47,14 +47,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _corpus(limit: int = 8) -> dict:
-    return corpus.corpus_p_le(limit)
-
-
 def _monoid_identities(P: Poset) -> dict:
     """The identities among promote, evac and dual_evac as permutations of L(P)."""
-    space = extension_space(P)
-    pr, ev, dev = (space.image(word(P.p)) for word in (delta_word, gamma_word, gamma_star_word))
+    ops = extension_space(P).operators
+    pr, ev, dev = ops["promote"], ops["evacuate"], ops["dual_evacuate"]
     ident = {k: k for k in range(len(pr))}
     inv_pr = {v: k for k, v in enumerate(pr)}
     return {
@@ -65,12 +61,11 @@ def _monoid_identities(P: Poset) -> dict:
     }
 
 
-def verify_thm1(posets: dict = None) -> list:
+def verify_thm1() -> list:
     """epsilon^2 = 1, promote^p = epsilon epsilon*, and the braid-type
     relation promote epsilon = epsilon promote^{-1} on L(P)."""
-    posets = posets or _corpus(8)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(8).items():
         ids = _monoid_identities(P)
         for key in ("evac involution", "promote^p = evac dual_evac",
                     "promote evac = evac promote^-1"):
@@ -78,11 +73,10 @@ def verify_thm1(posets: dict = None) -> list:
     return out
 
 
-def verify_thm2(posets: dict = None) -> list:
+def verify_thm2() -> list:
     """trajectory(f evac) equals the principal chain of f."""
-    posets = posets or _corpus(7)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(7).items():
         ok = all(
             trajectory(P, evacuate(P, w)) == principal_chain(P, w)
             for w in linear_extensions(P)
@@ -98,11 +92,10 @@ def _all_cutting_antichains(P: Poset):
             yield A
 
 
-def verify_thm3(posets: dict = None) -> list:
+def verify_thm3() -> list:
     """e(P) = sum over t in A of e(P - t) for every cutting antichain A."""
-    posets = posets or _corpus(8)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(8).items():
         e = count_extensions(P)
         ok = True
         checked = 0
@@ -116,11 +109,10 @@ def verify_thm3(posets: dict = None) -> list:
     return out
 
 
-def verify_thm4(posets: dict = None) -> list:
+def verify_thm4() -> list:
     """Whenever hypothesis (a) or (b) holds, the parity census is balanced."""
-    posets = posets or _corpus(8)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(8).items():
         rep = stats.sign_balance_report(P)
         applies = rep.thm4a_applies or rep.thm4b_applies
         ok = rep.balanced if applies else True
@@ -132,12 +124,11 @@ def verify_thm4(posets: dict = None) -> list:
     return out
 
 
-def verify_thm5(posets: dict = None) -> list:
+def verify_thm5() -> list:
     """W'_P(-1) = #dual domino tableaux = #self-evacuating, with the
     constructive bijection verified."""
-    posets = posets or _corpus(8)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(8).items():
         Q, _ = natural_relabel(P)
         wp = stats.wprime_poly(Q)
         at_minus1 = peval(wp, -1)
@@ -159,23 +150,21 @@ def verify_thm5(posets: dict = None) -> list:
     return out
 
 
-THM6_CASES = (
-    ("rectangle", Shape((2, 2))),
-    ("rectangle", Shape((3, 3))),
-    ("rectangle", Shape((4, 4))),
-    ("rectangle", Shape((3, 3, 3))),
-    ("rectangle", Shape((4, 4, 4))),
-    ("staircase", Shape((2, 1))),
-    ("staircase", Shape((3, 2, 1))),
-    ("shifted_double_staircase", Shape((3, 1), shifted=True)),
-    ("shifted_double_staircase", Shape((5, 3, 1), shifted=True)),
-    ("shifted_trapezoid", Shape((4, 2), shifted=True)),
-    ("shifted_trapezoid", Shape((5, 3), shifted=True)),
-    ("shifted_trapezoid", Shape((6, 4, 2), shifted=True)),
-)
-
-
-def verify_thm6(cases=THM6_CASES) -> list:
+def verify_thm6() -> list:
+    cases = (
+        ("rectangle", Shape((2, 2))),
+        ("rectangle", Shape((3, 3))),
+        ("rectangle", Shape((4, 4))),
+        ("rectangle", Shape((3, 3, 3))),
+        ("rectangle", Shape((4, 4, 4))),
+        ("staircase", Shape((2, 1))),
+        ("staircase", Shape((3, 2, 1))),
+        ("shifted_double_staircase", Shape((3, 1), shifted=True)),
+        ("shifted_double_staircase", Shape((5, 3, 1), shifted=True)),
+        ("shifted_trapezoid", Shape((4, 2), shifted=True)),
+        ("shifted_trapezoid", Shape((5, 3), shifted=True)),
+        ("shifted_trapezoid", Shape((6, 4, 2), shifted=True)),
+    )
     out = []
     for kind, s in cases:
         rep = special_shape_check(s, kind)
@@ -195,12 +184,9 @@ def verify_thm6(cases=THM6_CASES) -> list:
     return out
 
 
-THM7_RECTANGLES = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4))
-
-
-def verify_thm7(rectangles=THM7_RECTANGLES) -> list:
+def verify_thm7() -> list:
     out = []
-    for m, n in rectangles:
+    for m, n in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)):
         rows = sieve.cyclic_sieving_check(m, n)
         ok = all(r.ok for r in rows)
         out.append(
@@ -209,49 +195,46 @@ def verify_thm7(rectangles=THM7_RECTANGLES) -> list:
     return out
 
 
-def verify_thm8(ns=(2, 3, 4, 5, 6)) -> list:
+def verify_thm8() -> list:
     return [
         CheckResult(f"n={n}: c_id closed form", hecke.check_thm_cid(n))
-        for n in ns
+        for n in (2, 3, 4, 5, 6)
     ]
 
 
-def verify_thm9(ns=(2, 3, 4, 5)) -> list:
+def verify_thm9() -> list:
     out = []
-    for n in ns:
+    for n in (2, 3, 4, 5):
         rows = hecke.divisibility_report(n)
         ok = all(r[3] for r in rows)
         out.append(CheckResult(f"n={n}: (q-1) divisibility bound", ok))
-    if 4 in ns:
-        rows = {r[0]: r for r in hecke.divisibility_report(4)}
-        w = (2, 3, 1, 4)
-        _, bound, order, ok, _ = rows[w]
-        out.append(
-            CheckResult(
-                "n=4 w=2314: non-tight witness",
-                ok and bound == 2 and order == 4,
-                f"bound={bound} order={order}",
-            )
+    rows = {r[0]: r for r in hecke.divisibility_report(4)}
+    w = (2, 3, 1, 4)
+    _, bound, order, ok, _ = rows[w]
+    out.append(
+        CheckResult(
+            "n=4 w=2314: non-tight witness",
+            ok and bound == 2 and order == 4,
+            f"bound={bound} order={order}",
         )
+    )
     return out
 
 
-def verify_lemma1(posets: dict = None) -> list:
+def verify_lemma1() -> list:
     """gamma^2 = 1, delta^p = gamma gamma*, delta gamma = gamma delta^{-1}
     for the word operators on L(P)."""
-    posets = posets or _corpus(7)
     return [
         CheckResult(f"{name}: monoid identities", all(_monoid_identities(P).values()))
-        for name, P in posets.items()
+        for name, P in corpus_p_le(7).items()
     ]
 
 
-def verify_lemma2(posets: dict = None) -> list:
+def verify_lemma2() -> list:
     """u d*_1 d*_3 ... d*_{2j-1} = v d*_1 ... d*_{2j-1} d_{2j-1} ... d_1
     iff u tau_1 tau_3 ... tau_{2j-1} = v, for all extensions u, v."""
-    posets = posets or _corpus(6)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(6).items():
         exts = list(linear_extensions(P))
         ok = True
         for j in range(1, P.p // 2 + 1):  # 2j - 1 <= p - 1
@@ -266,22 +249,16 @@ def verify_lemma2(posets: dict = None) -> list:
 
 
 def _graded_corpus() -> dict:
-    from .corpus import boolean_lattice, weak_order_s3
-    from .posets import chain as chain_poset, ideals_lattice
-
-    out = {
+    jp, _ = ideals_lattice(v_poset())
+    return {
         "B_3": chains.graded_from_poset(boolean_lattice(3)),
         "weak_s3": chains.graded_from_poset(weak_order_s3()),
-        "chain4": chains.graded_from_poset(chain_poset(4)),
+        "chain4": chains.graded_from_poset(chain(4)),
+        "J(v)": chains.graded_from_poset(jp),
     }
-    from .corpus import v_poset
-
-    jp, _ = ideals_lattice(v_poset())
-    out["J(v)"] = chains.graded_from_poset(jp)
-    return out
 
 
-def verify_eq7(lattices=((2, 2), (2, 3), (3, 2))) -> list:
+def verify_eq7() -> list:
     """Operator identities for the linear tau: involutivity and distant
     commutation on the graded corpus, plus the Hecke quadratic relation
     (tau_i + 1)(tau_i - q) = 0 on B_n(q)."""
@@ -300,7 +277,7 @@ def verify_eq7(lattices=((2, 2), (2, 3), (3, 2))) -> list:
                     if a != b:
                         ok = False
         out.append(CheckResult(f"{name}: tau_i^2 = 1 and commutation", ok))
-    for n, q in lattices:
+    for n, q in ((2, 2), (2, 3), (3, 2)):
         lat = flags.subspace_lattice(n, q)
         Q = lat.graded
         ok = True
@@ -323,11 +300,11 @@ def verify_eq7(lattices=((2, 2), (2, 3), (3, 2))) -> list:
     return out
 
 
-def verify_crosspoly(ns=(2, 3, 4, 5)) -> list:
+def verify_crosspoly() -> list:
     """Closed-form signed-permutation operators vs the generic slender ones,
     and the dihedral order 2n (n odd) / 4n (n even)."""
     out = []
-    for n in ns:
+    for n in (2, 3, 4, 5):
         expected = 2 * n if n % 2 else 4 * n
         out.append(
             CheckResult(
@@ -353,9 +330,9 @@ def verify_crosspoly(ns=(2, 3, 4, 5)) -> list:
     return out
 
 
-def verify_hecke_consistency(cases=((2, 2), (2, 3), (3, 2))) -> list:
+def verify_hecke_consistency() -> list:
     out = []
-    for n, q in cases:
+    for n, q in ((2, 2), (2, 3), (3, 2)):
         rep = flags.hecke_consistency(n, q)
         out.append(
             CheckResult(
@@ -367,10 +344,8 @@ def verify_hecke_consistency(cases=((2, 2), (2, 3), (3, 2))) -> list:
     return out
 
 
-def verify_eulerian(_=None) -> list:
+def verify_eulerian() -> list:
     """Eulerian emptiness on B_3 and the slender equality on weak order S_3."""
-    from .corpus import boolean_lattice, weak_order_s3
-
     out = []
     b3 = chains.graded_from_poset(boolean_lattice(3))
     out.append(
@@ -396,11 +371,10 @@ def verify_eulerian(_=None) -> list:
     return out
 
 
-def verify_promotion_crosscheck(posets: dict = None) -> list:
+def verify_promotion_crosscheck() -> list:
     """promote_slide agrees with the tau-word promotion everywhere."""
-    posets = posets or _corpus(8)
     out = []
-    for name, P in posets.items():
+    for name, P in corpus_p_le(8).items():
         ok = all(
             promote_slide(P, w)[0] == promote(P, w)
             for w in linear_extensions(P)

@@ -142,6 +142,18 @@ def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     assert "40-element" in err and "1000" in err
 
 
+def test_cli_le_on_a_wide_poset_names_the_extension_cap(tmp_path, capsys, monkeypatch):
+    # the ideal walk overflows; its last complete layer already shows e(P) > --cap
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)
+    f = tmp_path / "antichain12.poset"
+    f.write_text("p=12\n")
+    code, out, err = run_cli(["--cap", "100", "le", "--poset", str(f)], capsys)
+    assert (code, out, err) == (3, "", "cap exceeded: e(P) >= 11880 exceeds cap 100\n")
+    code, out, err = run_cli(["le", "--poset", str(f)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: e(P) of a 12-element poset needs more than 1000 order ideals\n"
+
+
 def test_cli_poset_file_input(tmp_path, capsys):
     f = tmp_path / "p.poset"
     f.write_text("p=3\n0<1\n0<2\n")

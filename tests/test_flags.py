@@ -1,11 +1,13 @@
 """Subspace lattices over F_q, Bruhat cells, Hecke consistency."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from linext.chains import maximal_chains
 from linext.flags import (
+    SIZE_CAPS,
     all_subspaces,
     bruhat_cell,
     hecke_consistency,
@@ -56,6 +58,16 @@ def test_span_of_standard_vectors():
     assert len(s) == 4
     line = span([(1, 1)], 2, 3)
     assert len(line) == 3 and (2, 2) in line
+    # random vector lists at every size the lattice allows: the span is the
+    # smallest subspace of the walk that holds them (subspaces come by dimension)
+    rng = random.Random(11)
+    for q, top in SIZE_CAPS.items():
+        for n in range(1, top + 1):
+            subs = all_subspaces(n, q)
+            for _ in range(300):
+                vectors = [tuple(rng.randrange(q) for _ in range(n))
+                           for _ in range(rng.randrange(n + 2))]
+                assert span(vectors, n, q) == next(t for t in subs if t.issuperset(vectors))
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])

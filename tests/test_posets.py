@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linext import posets
 from linext.corpus import corpus
 from linext.posets import (
     CapExceeded,
@@ -209,3 +210,14 @@ def test_natural_relabel_preserves_structure(P):
 def test_extension_cap():
     with pytest.raises(CapExceeded):
         list(linear_extensions(antichain(8), cap=100))
+
+
+def test_ideal_cap_overflow_names_the_extension_cap_when_a_layer_passes_it(monkeypatch):
+    # With 1000 ideals allowed, the walk of antichain(12) overflows building
+    # the 5-element layer; the 4-element one sums to C(12, 4) 4! = 11880 <= e(P).
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)
+    with pytest.raises(CapExceeded, match=r"^e\(P\) >= 11880 exceeds cap 11879$"):
+        list(linear_extensions(antichain(12), cap=11879))
+    with pytest.raises(CapExceeded, match=r"^e\(P\) of a 12-element poset needs more than 1000 order ideals$"):
+        list(linear_extensions(antichain(12), cap=11880))
+    assert len(list(linear_extensions(antichain(6), cap=720))) == 720  # 64 ideals

@@ -152,12 +152,17 @@ def test_extension_space_matches_reference_routes(P):
     assert list(words) == list(linear_extensions(P))
     for i in range(1, P.p):
         assert [words[k] for k in space.tau[i]] == [tau(P, w, i) for w in words]
-    for taus, ref in (
-        (delta_word(P.p), lambda w: promote_slide(P, w)[0]),
-        (gamma_word(P.p), lambda w: evacuate_by_freezing(P, w)),
-        (gamma_star_word(P.p), lambda w: dual_evacuate_via_dual(P, w)),
+    for name, taus, ref in (
+        ("promote", delta_word(P.p), lambda w: promote_slide(P, w)[0]),
+        ("evacuate", gamma_word(P.p), lambda w: evacuate_by_freezing(P, w)),
+        ("dual_evacuate", gamma_star_word(P.p), lambda w: dual_evacuate_via_dual(P, w)),
     ):
-        assert [words[k] for k in space.image(taus)] == [ref(w) for w in words]
+        assert [words[k] for k in space.operators[name]] == [ref(w) for w in words]
+        # the runs against the tau rows composed one letter at a time
+        cur = range(len(words))
+        for i in taus:
+            cur = [space.tau[i][x] for x in cur]
+        assert list(space.operators[name]) == list(cur)
 
 
 @given(dag_posets(max_p=6))

@@ -172,6 +172,8 @@ def cross_polytope(n: int):
     """
     if n > 6:
         raise CapExceeded(f"cross_polytope for n = {n} exceeds cap n <= 6")
+    if n < 1:
+        raise ValueError(f"cross_polytope needs n >= 1, not n = {n}")
     faces = [frozenset()]
     for k in range(1, n + 1):
         for support in combinations(range(1, n + 1), k):
@@ -252,6 +254,8 @@ def signed_delta_power(w: SignedPerm) -> SignedPerm:
 
 def signed_group_order(n: int) -> int:
     """Order of <gamma, gamma*> acting on all signed permutations of size n."""
+    if n < 1:
+        raise ValueError(f"signed permutations need n >= 1, not n = {n}")
     domain = list(all_signed_perms(n))
     return dihedral_group_order(
         {w: signed_gamma(w) for w in domain},

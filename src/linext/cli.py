@@ -73,23 +73,20 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def cmd_promote(args):
+_WORD_OPERATORS = {
+    ("promote", False): promotion.promote,
+    ("promote", True): promotion.dual_promote,
+    ("evacuate", False): promotion.evacuate,
+    ("evacuate", True): promotion.dual_evacuate,
+}
+
+
+def cmd_word_operator(args):
     P = _load_input(args)
     w = parse_word(args.word)
     if not P.is_extension(w):
         raise ParseError(f"{args.word!r} is not a linear extension")
-    out = promotion.dual_promote(P, w) if args.dual else promotion.promote(P, w)
-    print(format_word(out))
-    return EXIT_OK
-
-
-def cmd_evacuate(args):
-    P = _load_input(args)
-    w = parse_word(args.word)
-    if not P.is_extension(w):
-        raise ParseError(f"{args.word!r} is not a linear extension")
-    out = promotion.dual_evacuate(P, w) if args.dual else promotion.evacuate(P, w)
-    print(format_word(out))
+    print(format_word(_WORD_OPERATORS[args.verb, args.dual](P, w)))
     return EXIT_OK
 
 
@@ -235,8 +232,7 @@ def cmd_hecke(args):
 
 
 def cmd_slender(args):
-    P = load_poset(args.posetfile)
-    Q = chains.graded_from_poset(P)
+    Q = chains.graded_from_poset(_load_input(args))
     slender = chains.is_slender(Q)
     rows = [
         (
@@ -266,8 +262,6 @@ def cmd_crosspoly(args):
 
 
 def cmd_flags(args):
-    lat = flags.subspace_lattice(args.n, args.q)
-    nchains = len(chains.maximal_chains(lat.graded))
     if args.verify_hecke:
         rep = flags.hecke_consistency(args.n, args.q)
         rows = [
@@ -276,7 +270,8 @@ def cmd_flags(args):
         ]
         _emit(rows, ("w", "cell_size", "coefficient"), args.format)
         return EXIT_OK if rep.ok else EXIT_FAIL
-    rows = [(args.n, args.q, len(lat.subspaces), nchains)]
+    lat = flags.subspace_lattice(args.n, args.q)
+    rows = [(args.n, args.q, len(lat.subspaces), len(chains.maximal_chains(lat.graded)))]
     _emit(rows, ("n", "q", "subspaces", "max_chains"), args.format)
     return EXIT_OK
 
@@ -325,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     poset_args(p)
     p.set_defaults(func=cmd_count)
 
-    for verb, fn in (("promote", cmd_promote), ("evacuate", cmd_evacuate)):
+    for verb in ("promote", "evacuate"):
         p = add_verb(verb)
         poset_args(p)
         p.add_argument("--word", required=True, help="comma-separated word")
         p.add_argument("--dual", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_word_operator)
 
     p = add_verb("orbits")
     poset_args(p)
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hecke)
 
     p = add_verb("slender")
-    p.add_argument("posetfile")
+    p.add_argument("poset", metavar="posetfile", help="poset file or corpus:NAME")
     p.set_defaults(func=cmd_slender)
 
     p = add_verb("crosspoly")
@@ -390,7 +385,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError, IndexError) as exc:
+    except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

@@ -45,6 +45,8 @@ def _walk(n: int, q: int) -> tuple:
     """
     if q not in SIZE_CAPS:
         raise ValueError(f"subspace lattice supports q in {sorted(SIZE_CAPS)}, not q = {q}")
+    if n < 0:
+        raise ValueError(f"subspace lattice needs n >= 0, not n = {n}")
     if n > SIZE_CAPS[q]:
         raise CapExceeded(f"subspace lattice for n = {n} exceeds cap n <= {SIZE_CAPS[q]} at q = {q}")
     vecs = list(product(range(q), repeat=n))

@@ -8,7 +8,6 @@ and the global (q+1)^C(n,2) denominator is divided out at the end.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, zip_longest
 
@@ -19,6 +18,7 @@ from .ratfunc import (
     Q_MINUS_1,
     Q_PLUS_1,
     RF_ONE,
+    RF_Q,
     RF_ZERO,
     RatFunc,
     pnorm,
@@ -29,6 +29,10 @@ from .ratfunc import (
 Perm = tuple  # tuple[int, ...], one-line notation with values 1..n
 
 DEFAULT_HECKE_CAP = 7
+
+_RF_QM1 = RatFunc.from_poly(Q_MINUS_1)
+_RF_INV_QP1 = RatFunc.make(ONE_POLY, Q_PLUS_1)
+_RF_TWO = RatFunc.from_rational(2)
 
 
 def identity_perm(n: int) -> Perm:
@@ -121,12 +125,18 @@ class HeckeElt:
     def scale(self, c: RatFunc) -> "HeckeElt":
         return HeckeElt(self.n, {w: x * c for w, x in self.terms.items()})
 
+    def inverse(self) -> "HeckeElt":
+        """The image under the anti-involution T_w -> T_{w^-1}."""
+        # w^-1(k) is the position of k in w
+        return HeckeElt(self.n, {
+            tuple(w.index(k) + 1 for k in range(1, self.n + 1)): c
+            for w, c in self.terms.items()
+        })
+
     def mul_gen_right(self, i: int) -> "HeckeElt":
         """Right multiplication by T_i."""
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"generator index {i} out of range 1..{self.n - 1}")
-        q = RatFunc.from_poly((0, 1))
-        qm1 = RatFunc.from_poly(Q_MINUS_1)
         out = {}
 
         def acc(w, c):
@@ -138,37 +148,18 @@ class HeckeElt:
             if has_right_ascent(u, i):
                 acc(v, c)
             else:
-                acc(v, c * q)
-                acc(u, c * qm1)
+                acc(v, c * RF_Q)
+                acc(u, c * _RF_QM1)
         return HeckeElt(self.n, out)
 
     def mul_gen_left(self, i: int) -> "HeckeElt":
-        """Left multiplication by T_i (swap the values i, i+1)."""
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"generator index {i} out of range 1..{self.n - 1}")
-        q = RatFunc.from_poly((0, 1))
-        qm1 = RatFunc.from_poly(Q_MINUS_1)
-        out = {}
-
-        def acc(w, c):
-            if c:
-                out[w] = out.get(w, RF_ZERO) + c
-
-        for u, c in self.terms.items():
-            v = tuple(i + 1 if x == i else i if x == i + 1 else x for x in u)
-            if u.index(i) < u.index(i + 1):  # l(s_i u) = l(u) + 1
-                acc(v, c)
-            else:
-                acc(v, c * q)
-                acc(u, c * qm1)
-        return HeckeElt(self.n, out)
+        """Left multiplication by T_i: T_i h = (h' T_i)' for the
+        anti-involution ' = inverse."""
+        return self.inverse().mul_gen_right(i).inverse()
 
     def mul_e_right(self, i: int) -> "HeckeElt":
         """Right multiplication by E_i = (q - 1 - 2 T_i) / (q + 1)."""
-        qm1 = RatFunc.from_poly(Q_MINUS_1)
-        inv_qp1 = RatFunc.make(ONE_POLY, Q_PLUS_1)
-        two = RatFunc.from_rational(2)
-        return (self.scale(qm1) - self.mul_gen_right(i).scale(two)).scale(inv_qp1)
+        return (self.scale(_RF_QM1) - self.mul_gen_right(i).scale(_RF_TWO)).scale(_RF_INV_QP1)
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -191,17 +182,7 @@ def t_w_from_word(n: int, word) -> HeckeElt:
 
 def e_i(n: int, i: int) -> HeckeElt:
     """E_i = (1/(q+1)) (q - 1 - 2 T_i); an involution (E_i^2 = 1)."""
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"generator index {i} out of range 1..{n - 1}")
-    qm1_over = RatFunc.make(Q_MINUS_1, Q_PLUS_1)
-    minus2_over = RatFunc.make(ONE_POLY, Q_PLUS_1, Fraction(-2))
-    return HeckeElt(
-        n,
-        {
-            identity_perm(n): qm1_over,
-            apply_s_right(identity_perm(n), i): minus2_over,
-        },
-    )
+    return HeckeElt.unit(n).mul_e_right(i)
 
 
 def _expand_numerators(n: int) -> dict:

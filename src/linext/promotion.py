@@ -109,29 +109,32 @@ def promotion_blocks(P: Poset, word: Word) -> tuple:
     return tuple(blocks)
 
 
-def promote_slide(P: Poset, word: Word):
-    """Label-sliding definition of promotion.
+def _slide(up, word: Word):
+    """Promotion by label sliding over the cover lists `up`.
 
     Returns (f d, promotion chain t_1 < t_2 < ... < t_k).  Labels are the
     1-based word positions; label 1 is removed, the smallest cover label
     repeatedly slides down, the final maximal element gets p+1, then all
     labels drop by one.
     """
-    p = P.p
     label = {t: i + 1 for i, t in enumerate(word)}
     cur = word[0]
     del label[cur]
     chain = [cur]
-    while P.up[cur]:
-        covers = P.up[cur]
-        nxt = min(covers, key=label.__getitem__)
+    while up[cur]:
+        nxt = min(up[cur], key=label.__getitem__)
         label[cur] = label[nxt]
         del label[nxt]
         cur = nxt
         chain.append(cur)
-    label[cur] = p + 1
+    label[cur] = len(word) + 1
     new = sorted(label, key=label.__getitem__)
     return tuple(new), tuple(chain)
+
+
+def promote_slide(P: Poset, word: Word):
+    """Label-sliding definition of promotion: (f d, promotion chain)."""
+    return _slide(P.up, word)
 
 
 def promote(P: Poset, word: Word) -> Word:
@@ -140,19 +143,9 @@ def promote(P: Poset, word: Word) -> Word:
 
 
 def dual_promote(P: Poset, word: Word) -> Word:
-    """Dual promotion: the largest labels slide up; inverse of promotion."""
-    p = P.p
-    label = {t: i + 1 for i, t in enumerate(word)}
-    cur = word[-1]
-    del label[cur]
-    while P.down[cur]:
-        nxt = max(P.down[cur], key=label.__getitem__)
-        label[cur] = label[nxt]
-        del label[nxt]
-        cur = nxt
-    label[cur] = 0
-    new = sorted(label, key=label.__getitem__)
-    return tuple(new)
+    """Dual promotion, the inverse of promotion: promotion on the dual poset
+    P* read on f*, so the largest labels slide up."""
+    return conjugate_extension(_slide(P.down, conjugate_extension(word))[0])
 
 
 def evacuate(P: Poset, word: Word) -> Word:

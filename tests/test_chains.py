@@ -181,6 +181,12 @@ def test_cross_polytope_covers_are_exact(n):
     assert (P.leq_mask, P.geq_mask) == (ref.leq_mask, ref.geq_mask)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_signed_group_order_rejects_n_below_1(n):
+    with pytest.raises(ValueError, match=f"not n = {n}"):
+        signed_group_order(n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_signed_perm_chain_roundtrip(n):
     Q, faces = cross_polytope(n)

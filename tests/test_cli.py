@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from linext import hecke, posets
+from linext import cli, corpus, hecke, posets
 from linext.cli import main
 from linext.io import (
     ParseError,
@@ -62,9 +62,11 @@ def test_word_roundtrip():
 
 
 def test_corpus_files_load():
+    files = {}
     for fname in sorted(os.listdir(CORPUS_DIR)):
         with open(os.path.join(CORPUS_DIR, fname)) as fh:
-            parse_poset(fh.read())
+            files[fname.removesuffix(".poset")] = parse_poset(fh.read())
+    assert files == corpus.corpus()
 
 
 def test_cli_le_and_count(capsys):
@@ -123,12 +125,31 @@ def test_cli_exit_codes(capsys):
     (["flags", "--n", "5", "--q", "3", "--verify-hecke"], 3, "n = 5 exceeds cap n <= 4 at q = 3"),
     (["crosspoly", "--n", "7"], 3, "n = 7 exceeds cap n <= 6"),
     (["flags", "--n", "2", "--q", "4"], 2, "supports q in [2, 3], not q = 4"),
+    (["flags", "--n", "-1", "--q", "2"], 2, "needs n >= 0, not n = -1"),
+    (["crosspoly", "--n", "0"], 2, "needs n >= 1, not n = 0"),
+    (["crosspoly", "--n", "-1"], 2, "needs n >= 1, not n = -1"),
 ])
 def test_cli_size_caps_exit_3_and_unsupported_q_exits_2(argv, code, message, capsys):
     # a size past a cap exits 3; an unsupported q is a usage error
     got, out, err = run_cli(argv, capsys)
     assert (got, out) == (code, "")
     assert message in err
+
+
+def test_cli_internal_index_error_is_not_a_usage_error(monkeypatch):
+    def broken(P, w):
+        raise IndexError("internal fault")
+
+    monkeypatch.setitem(cli._WORD_OPERATORS, ("promote", False), broken)
+    with pytest.raises(IndexError, match="internal fault"):
+        main(["promote", "--shape", "shape:2,2", "--word", "0,1,2,3"])
+
+
+def test_cli_slender_reads_corpus_names_and_files(capsys):
+    rows = ["slender\tmax_chains\tdual_domino\tself_evacuating", "True\t2\t2\t2"]
+    for poset in ("corpus:weak_s3", os.path.join(CORPUS_DIR, "weak_s3.poset")):
+        code, out, _ = run_cli(["slender", poset], capsys)
+        assert (code, out.splitlines()) == (0, rows)
 
 
 def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):

@@ -84,6 +84,19 @@ def test_left_and_right_multiplication_agree_on_words():
         assert left == right
 
 
+def test_left_action_commutes_with_right_and_is_quadratic():
+    # T_i h is computed through the anti-involution T_w -> T_{w^-1}; check it
+    # is a left action in its own right: (T_i h) T_j = T_i (h T_j) and
+    # T_i (T_i h) = (q - 1) T_i h + q h.
+    hs = [t_w(4, w) for w in S4] + [evacuation_element(3)]
+    for h in hs:
+        for i in range(1, h.n):
+            left = h.mul_gen_left(i)
+            assert left.mul_gen_left(i) == left.scale(RF_Q - RF_ONE) + h.scale(RF_Q)
+            for j in range(1, h.n):
+                assert left.mul_gen_right(j) == h.mul_gen_right(j).mul_gen_left(i)
+
+
 def test_e_i_is_involution():
     n = 3
     for i in (1, 2):

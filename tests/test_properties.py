@@ -30,6 +30,7 @@ from linext.promotion import (
     dihedral_order,
     dual_evacuate,
     dual_evacuate_via_dual,
+    dual_promote,
     evacuate,
     evacuate_by_freezing,
     extension_permutation,
@@ -96,6 +97,7 @@ def test_word_operators_match_reference_routes(Pw):
     assert evacuate(P, w) == evacuate_by_freezing(P, w)
     assert dual_evacuate(P, w) == dual_evacuate_via_dual(P, w)
     assert promote(P, w) == promote_slide(P, w)[0]
+    assert dual_promote(P, promote(P, w)) == w == promote(P, dual_promote(P, w))
 
 
 @given(poset_and_extension(), st.integers(-3, 10))

@@ -187,9 +187,9 @@ def cmd_sieve(args):
 def cmd_hecke(args):
     fmt = args.format
     if args.action == "cw":
-        w = tuple(int(ch) for ch in args.w or "")
-        if w and sorted(w) != list(range(1, args.n + 1)):
+        if args.w and sorted(args.w) != [str(i) for i in range(1, args.n + 1)]:
             raise ParseError(f"--w {args.w!r} is not a permutation of 1..{args.n}")
+        w = tuple(map(int, args.w or ""))
         elt = hecke.evacuation_element(args.n, cap=args.hecke_cap)
         if w:
             c = elt.coeff(w)
@@ -281,6 +281,17 @@ def cmd_verify(args):
     return _emit_checks(results, args.format)
 
 
+def _positive_int(text: str) -> int:
+    """The value of a cap option; anything but a positive integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _global_options(suppress: bool) -> argparse.ArgumentParser:
     """The options accepted on either side of the verb.  After the verb they
     default to SUPPRESS, so that a value given before the verb stands."""
@@ -290,9 +301,9 @@ def _global_options(suppress: bool) -> argparse.ArgumentParser:
 
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--format", choices=("tsv", "json"), default=default("tsv"))
-    g.add_argument("--cap", type=int, default=default(DEFAULT_EXTENSION_CAP),
+    g.add_argument("--cap", type=_positive_int, default=default(DEFAULT_EXTENSION_CAP),
                    help="cap on e(P) and on the dual domino tableaux")
-    g.add_argument("--hecke-cap", type=int, default=default(DEFAULT_HECKE_CAP))
+    g.add_argument("--hecke-cap", type=_positive_int, default=default(DEFAULT_HECKE_CAP))
     return g
 
 

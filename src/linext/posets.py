@@ -5,9 +5,12 @@ p elements (the word u_1 ... u_p with u_i = f^{-1}(i)); every prefix of the
 word is an order ideal.
 
 L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
-rule for the elements that can be added to an ideal (`_addable`): one layered
-walk (`_ideal_layers`) serves `count_extensions`, `ideals` and
-`ideals_lattice`, and `_extension_walk` follows the rule depth first.
+rule for the elements that can be added to an ideal: I gains t iff
+I & geq == below, with t's down-set geq and strict down-set below from
+`_down_sets`.  One layered walk (`_ideal_layers`) serves `count_extensions`,
+`ideals` and `ideals_lattice`; it builds each layer by one pass per element
+over the whole layer before it.  `_addable` applies the rule to one ideal,
+and `_extension_walk` follows it depth first.
 
 The walk fills one ExtensionSpace per poset: L(P) in lex order, kept for the
 SPACE_CACHE_SIZE posets built last.  On first use it builds the tau_i rows,
@@ -184,27 +187,26 @@ def disjoint_union(a: Poset, b: Poset) -> Poset:
 
 
 def _down_sets(P: Poset, ids) -> list:
-    """(1 << t, P.geq_mask[t]) for each t in `ids`: its bit and its down-set."""
-    return [(1 << t, P.geq_mask[t]) for t in ids]
+    """(bit, geq, below) for each t in `ids`: 1 << t, its down-set
+    P.geq_mask[t] and its strict down-set geq ^ bit.  An ideal I gains t iff
+    I & geq == below: all of t's down-set but t itself lies in I."""
+    return [(1 << t, P.geq_mask[t], P.geq_mask[t] ^ 1 << t) for t in ids]
 
 
 def _addable(down_sets, mask: int) -> list:
-    """The bits, ascending, of the elements that can be added to the ideal `mask`.
-
-    `down_sets` holds the candidates as `_down_sets` gives them.  t can be
-    added iff it is outside the ideal and geq[t] & ~bit & ~mask == 0, that
-    is, iff t is the only element of its down-set outside the ideal.
-    """
-    free = ~mask
-    return [bit for bit, geq in down_sets if geq & free == bit]
+    """The bits, in the order of `down_sets` (as `_down_sets` gives them), of
+    the elements that can be added to the ideal `mask`."""
+    return [bit for bit, geq, below in down_sets if mask & geq == below]
 
 
 def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
     """Walk J(P) upward from the empty ideal, one size at a time.
 
     Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
-    holding two layers at a time; raises CapExceeded(message) as soon as more
-    than `cap` ideals are found.
+    holding two layers at a time.  The next layer is built by one pass per
+    element t over the whole layer, which pushes the path count of every
+    ideal that gains t; CapExceeded(message) is raised after the first pass
+    that brings the number of ideals found past `cap`.
     """
     down_sets = _down_sets(P, range(P.p))
     layer = {0: 1}
@@ -212,16 +214,14 @@ def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
     while layer:
         yield layer
         nxt = {}
-        for mask, paths in layer.items():
-            for bit in _addable(down_sets, mask):
-                k = mask | bit
-                if k in nxt:
-                    nxt[k] += paths
-                else:
-                    nxt[k] = paths
-                    found += 1
-                    if found > cap:
-                        raise CapExceeded(message)
+        get = nxt.get
+        for bit, geq, below in down_sets:
+            for mask, paths in layer.items():
+                if mask & geq == below:
+                    nxt[mask | bit] = get(mask | bit, 0) + paths
+            if found + len(nxt) > cap:
+                raise CapExceeded(message)
+        found += len(nxt)
         layer = nxt
 
 

@@ -233,6 +233,23 @@ def test_cli_hecke_cw_rejects_non_permutations(capsys):
         assert "permutation" in err
 
 
+def test_cli_hecke_cw_names_w_when_it_is_not_digits(capsys):
+    code, out, err = run_cli(["hecke", "cw", "--n", "3", "--w", "1a3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --w '1a3' is not a permutation of 1..3\n"
+
+
+@pytest.mark.parametrize("option", ["--cap", "--hecke-cap"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("after_verb", [False, True])
+def test_cli_caps_below_1_are_usage_errors(option, value, after_verb, capsys):
+    verb = ["le", "--shape", "shape:2,2"]
+    argv = verb + [option, value] if after_verb else [option, value] + verb
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: expected a positive integer, got '{value}'" in err
+
+
 def test_cli_internal_arithmetic_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(n, cap):
         raise InexactDivision("inexact polynomial division")

@@ -103,6 +103,20 @@ def test_ideals_sorted_by_size_then_members():
             )
 
 
+def test_shuffled_disjoint_chains_count_and_ideals():
+    # chains of sizes 1, 1, 1, 1, 3, 3 on shuffled ids, like the wide
+    # benchmark poset: e(P) is the multinomial, |J(P)| the product of size + 1
+    sizes = (1, 1, 1, 1, 3, 3)
+    ids = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]
+    covers, start = [], 0
+    for size in sizes:
+        covers += [(ids[i], ids[i + 1]) for i in range(start, start + size - 1)]
+        start += size
+    P = poset_from_covers(len(ids), covers)
+    assert count_extensions(P) == math.factorial(10) // (math.factorial(3) ** 2)
+    assert len(ideals(P)) == 2 ** 4 * 4 ** 2
+
+
 def test_count_extensions_cap():
     with pytest.raises(CapExceeded, match="12-element poset .* 100 order ideals"):
         count_extensions(antichain(12), cap=100)

@@ -13,6 +13,7 @@ from linext.chains import (
 from linext.posets import (
     CapExceeded,
     Shape,
+    _ideal_layers,
     count_extensions,
     extension_space,
     ideals,
@@ -268,6 +269,18 @@ def test_ideal_cap_admits_exactly_the_ideal_count(P):
         ideals(P, cap=n - 1)
     with pytest.raises(CapExceeded, match=f"needs more than {n - 1} order ideals"):
         count_extensions(P, cap=n - 1)
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P):
+    for size, layer in enumerate(_ideal_layers(P, 1 << P.p, "unreachable")):
+        for mask, paths in layer.items():
+            S = members_of(mask)
+            assert len(S) == size
+            assert all(s in S for (s, t) in P.covers if t in S)  # down-closed
+            sub, _ = restrict(P, S)
+            assert paths == len(list(linear_extensions(sub, cap=None))), S
 
 
 @given(dag_posets(max_p=8))

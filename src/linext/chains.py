@@ -127,34 +127,17 @@ def self_evacuating_chains(Q: GradedPoset) -> list:
 def dual_domino_chains(Q: GradedPoset) -> list:
     """Chains bottom = t_0 < ... < t_r = top whose steps are rank-2 chain
     intervals (unique middle), with a single cover step first when the rank
-    of Q is odd.
+    of Q is odd; sorted.
 
     "Two-element chain" is read as the half-open step (t_{i-1}, t_i]: a
     rank-2 interval that is a chain contributes the two new elements, the
-    odd-rank first step contributes one.
+    odd-rank first step contributes one.  With k = height mod 2, these are
+    m[:k] + m[k::2] for the maximal chains m whose steps along m[k::2] have
+    one middle each.
     """
-    n = Q.height
-    P = Q.poset
-
-    def two_step_targets(s):
-        return sorted(t for a in P.up[s] for t in P.up[a] if len(Q.rank2[s, t]) == 1)
-
-    results = []
-
-    def rec(path):
-        cur = path[-1]
-        if cur == Q.top:
-            results.append(tuple(path))
-            return
-        for t in two_step_targets(cur):
-            rec(path + [t])
-
-    if n % 2 == 0:
-        rec([Q.bottom])
-    else:
-        for t in P.up[Q.bottom]:
-            rec([Q.bottom, t])
-    return results
+    k = Q.height % 2
+    return sorted(m[:k] + m[k::2] for m in maximal_chains(Q)
+                  if all(len(Q.rank2[s, t]) == 1 for s, t in zip(m[k::2], m[k + 2::2])))
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def cmd_hecke(args):
             ]
             _emit(rows, ("w", "bound", "qm1_order", "status", "tight"), fmt)
             return EXIT_OK if all(r[3] for r in rows_data) else EXIT_FAIL
-        raise ParseError(f"unknown hecke verification {args.what!r}")
+        raise ParseError("hecke verify needs cid or div")
     raise ParseError(f"unknown hecke action {args.action!r}")
 
 

@@ -4,6 +4,11 @@ Elements are dense integer ids 0..p-1.  A linear extension is a tuple of all
 p elements (the word u_1 ... u_p with u_i = f^{-1}(i)); every prefix of the
 word is an order ideal.
 
+Each Poset is built once, from its covers and its order, closed once in
+Kahn's topological order (`_closure_masks`).  Builders that know their exact
+covers run no reduction, `dual_poset` swaps P's masks and cover lists, and
+`restrict` reduces P's order restricted to the kept elements.
+
 L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
 rule for the elements that can be added to an ideal: I gains t iff
 I & geq == below, with t's down-set geq and strict down-set below from
@@ -79,47 +84,49 @@ class Poset:
         return f"Poset(p={self.p}, covers={list(self.covers)})"
 
 
-def _closure_masks(p: int, pairs) -> tuple:
-    """(leq_mask, geq_mask): the reflexive-transitive closure of the pairs."""
-    adj = [[] for _ in range(p)]
+def _adjacency(p: int, pairs) -> tuple:
+    """(up, down): up[s] lists each t of a pair (s, t), down[t] each s, in order."""
+    up = [[] for _ in range(p)]
+    down = [[] for _ in range(p)]
     for s, t in pairs:
-        adj[s].append(t)
-    # Topological order with cycle witness.
-    state = [0] * p  # 0 new, 1 active, 2 done
-    order = []
-    for root in range(p):
-        if state[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    i = path.index(nxt)
-                    raise CycleError(path[i:] + [nxt])
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                order.append(node)
-                path.pop()
-                stack.pop()
-    leq = [1 << t for t in range(p)]
-    for node in order:  # reverse topological: successors already done
-        for nxt in adj[node]:
-            leq[node] |= leq[nxt]
+        up[s].append(t)
+        down[t].append(s)
+    return up, down
+
+
+def _closure_masks(p: int, up, down) -> tuple:
+    """(leq_mask, geq_mask): the reflexive-transitive closure of the relation
+    with adjacency lists (up, down), taken in Kahn's topological order.  An
+    element never reached has an unreached predecessor, so walking back from
+    the least one through the first of each closes the cycle CycleError names.
+    """
+    waiting = [len(below) for below in down]  # predecessors not yet ordered
+    order = [t for t in range(p) if not waiting[t]]
+    for s in order:  # grows while it is read
+        for t in up[s]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                order.append(t)
+    if len(order) < p:
+        path = [next(t for t in range(p) if waiting[t])]
+        while path.count(path[-1]) == 1:
+            path.append(next(s for s in down[path[-1]] if waiting[s]))
+        raise CycleError(path[path.index(path[-1]):][::-1])
     geq = [1 << t for t in range(p)]
-    for node in reversed(order):  # topological: predecessors already done
-        for nxt in adj[node]:
-            geq[nxt] |= geq[node]
+    for t in order:  # predecessors already done
+        for s in down[t]:
+            geq[t] |= geq[s]
+    leq = [1 << t for t in range(p)]
+    for s in reversed(order):  # successors already done
+        for t in up[s]:
+            leq[s] |= leq[t]
     return tuple(leq), tuple(geq)
+
+
+def _reduce(leq_mask, geq_mask) -> list:
+    """The cover pairs of a closed order: s < t with nothing strictly between."""
+    return [(s, t) for s, row in enumerate(leq_mask) for t in _mask_members(row ^ 1 << s)
+            if row & geq_mask[t] == 1 << s | 1 << t]
 
 
 def poset_from_covers(p: int, covers) -> Poset:
@@ -132,43 +139,27 @@ def poset_from_covers(p: int, covers) -> Poset:
             raise ValueError(f"pair ({s},{t}) references an id outside 0..{p - 1}")
         if s == t:
             raise CycleError([s, t])
-    leq_mask, geq_mask = _closure_masks(p, covers)
-    reduced = []
-    for s in range(p):
-        for t in range(p):
-            if s != t and leq_mask[s] >> t & 1:
-                between = leq_mask[s] & geq_mask[t] & ~(1 << s) & ~(1 << t)
-                if not between:
-                    reduced.append((s, t))
-    return _poset_from_reduced(p, reduced)
+    masks = _closure_masks(p, *_adjacency(p, covers))
+    return _poset_from_reduced(p, _reduce(*masks), masks)
 
 
-def _poset_from_reduced(p: int, covers) -> Poset:
+def _poset_from_reduced(p: int, covers, masks: tuple = None) -> Poset:
     """The Poset whose cover pairs are exactly `covers`, which must already be
-    transitively reduced (lattices the program builds itself know their covers)."""
-    leq_mask, geq_mask = _closure_masks(p, covers)
-    reduced = sorted(covers)
-    up = [[] for _ in range(p)]
-    down = [[] for _ in range(p)]
-    for s, t in reduced:
-        up[s].append(t)
-        down[t].append(s)
-    return Poset(
-        p=p,
-        covers=tuple(reduced),
-        up=tuple(map(tuple, up)),
-        down=tuple(map(tuple, down)),
-        leq_mask=leq_mask,
-        geq_mask=geq_mask,
-    )
+    transitively reduced (builders and lattices that know their covers).
+    `masks` is its (leq_mask, geq_mask) when the caller holds it; otherwise
+    they are closed from the covers."""
+    covers = tuple(sorted(covers))
+    up, down = _adjacency(p, covers)
+    return Poset(p, covers, tuple(map(tuple, up)), tuple(map(tuple, down)),
+                 *(masks or _closure_masks(p, up, down)))
 
 
 def chain(n: int) -> Poset:
-    return poset_from_covers(n, [(i, i + 1) for i in range(n - 1)])
+    return _poset_from_reduced(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def antichain(n: int) -> Poset:
-    return poset_from_covers(n, [])
+    return _poset_from_reduced(n, [])
 
 
 def ordinal_sum(lower: Poset, upper: Poset) -> Poset:
@@ -176,14 +167,14 @@ def ordinal_sum(lower: Poset, upper: Poset) -> Poset:
     off = lower.p
     pairs = list(lower.covers)
     pairs += [(s + off, t + off) for (s, t) in upper.covers]
-    pairs += [(s, t + off) for s in range(lower.p) for t in range(upper.p)]
-    return poset_from_covers(lower.p + upper.p, pairs)
+    pairs += [(s, t + off) for s in lower.maximals() for t in upper.minimals()]
+    return _poset_from_reduced(lower.p + upper.p, pairs)
 
 
 def disjoint_union(a: Poset, b: Poset) -> Poset:
     off = a.p
     pairs = list(a.covers) + [(s + off, t + off) for (s, t) in b.covers]
-    return poset_from_covers(a.p + b.p, pairs)
+    return _poset_from_reduced(a.p + b.p, pairs)
 
 
 def _down_sets(P: Poset, ids) -> list:
@@ -435,11 +426,13 @@ def shape_poset(s: Shape) -> Poset:
         for nxt in ((r, c + 1), (r + 1, c)):
             if nxt in index:
                 covers.append((i, index[nxt]))
-    return poset_from_covers(len(cells), covers)
+    return _poset_from_reduced(len(cells), covers)
 
 
 def dual_poset(P: Poset) -> Poset:
-    return poset_from_covers(P.p, [(t, s) for (s, t) in P.covers])
+    """P*: P's cover lists and masks swapped, with no closure."""
+    return Poset(P.p, tuple(sorted((t, s) for s, t in P.covers)),
+                 P.down, P.up, P.geq_mask, P.leq_mask)
 
 
 def conjugate_extension(word: Word) -> Word:
@@ -477,16 +470,15 @@ def antichain_cuts_all_chains(P: Poset, A) -> bool:
 
 
 def restrict(P: Poset, keep):
-    """Induced subposet on `keep`; returns (poset, old-id list by new id)."""
+    """Induced subposet on `keep`; returns (poset, old-id list by new id).
+    Its order is P's restricted to `keep`, so only the reduction runs."""
     keep = sorted(set(keep))
-    index = {t: i for i, t in enumerate(keep)}
-    pairs = [
-        (index[s], index[t])
-        for s in keep
-        for t in keep
-        if s != t and P.leq(s, t)
-    ]
-    return poset_from_covers(len(keep), pairs), keep
+
+    def induced(masks):
+        return tuple(sum(1 << i for i, t in enumerate(keep) if masks[s] >> t & 1) for s in keep)
+
+    masks = induced(P.leq_mask), induced(P.geq_mask)
+    return _poset_from_reduced(len(keep), _reduce(*masks), masks), keep
 
 
 def delete_element(P: Poset, t: int) -> Poset:
@@ -510,5 +502,5 @@ def natural_relabel(P: Poset):
     relabel = [0] * P.p
     for i, t in enumerate(word):
         relabel[t] = i
-    newp = poset_from_covers(P.p, [(relabel[s], relabel[t]) for (s, t) in P.covers])
+    newp = _poset_from_reduced(P.p, [(relabel[s], relabel[t]) for (s, t) in P.covers])
     return newp, tuple(relabel)

@@ -204,7 +204,8 @@ def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalan
         for s in P.down[t]:
             parity[t] |= (0, 2, 1, 3)[parity[s]]  # one more edge swaps the parities
             longest[t] = max(longest[t], longest[s] + 1)
-    thm4a = all(parity[t] == 1 << (p % 2) for t in P.maximals())
+    # The empty poset's one maximal chain is the empty chain, of length -1.
+    thm4a = p > 0 and all(parity[t] == 1 << (p % 2) for t in P.maximals())
     thm4b = 3 not in parity and (p * (p - 1) // 2) % 2 != sum(longest) % 2
 
     return SignBalanceReport(

@@ -190,6 +190,19 @@ def test_cli_stats_and_hecke(capsys):
     assert code == 0 and out.strip() == "64/(q+1)^6"
 
 
+def test_cli_signbalance_on_the_empty_poset(tmp_path, capsys):
+    f = tmp_path / "empty.poset"
+    f.write_text("p=0\n")
+    code, out, _ = run_cli(["stats", "signbalance", "--poset", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1] == "False\tFalse\tFalse\t1\t0"
+
+
+def test_cli_hecke_verify_needs_cid_or_div(capsys):
+    code, out, err = run_cli(["hecke", "verify", "--n", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "verify needs cid or div" in err
+
+
 def test_cli_entrypoint_subprocess():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)

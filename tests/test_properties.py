@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linext.chains import (
+    dual_domino_chains,
     dual_evacuate_chain,
     evacuate_chain,
     graded_from_poset,
@@ -12,9 +13,11 @@ from linext.chains import (
 )
 from linext.posets import (
     CapExceeded,
+    CycleError,
     Shape,
     _ideal_layers,
     count_extensions,
+    dual_poset,
     extension_space,
     ideals,
     ideals_lattice,
@@ -67,6 +70,19 @@ def dag_posets(draw, max_p=7):
     pairs = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
                           max_size=2 * p))
     return poset_from_covers(p, [(ids[s], ids[t]) for s, t in pairs if s < t])
+
+
+@st.composite
+def cyclic_digraphs(draw, max_p=8):
+    """(p, pairs): random pairs on 2..max_p ids, in random order, around at
+    least one directed cycle."""
+    p = draw(st.integers(2, max_p))
+    ids = draw(st.permutations(range(p)))
+    k = draw(st.integers(2, p))
+    loop = [(ids[i], ids[(i + 1) % k]) for i in range(k)]
+    extra = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+                          .filter(lambda pair: pair[0] != pair[1]), max_size=2 * p))
+    return p, draw(st.permutations(loop + extra))
 
 
 @st.composite
@@ -328,3 +344,56 @@ def sign_balance_hypotheses_by_chains(P) -> tuple:
 def test_sign_balance_hypotheses_match_the_chain_definition(P):
     rep = sign_balance_report(P)
     assert (rep.thm4a_applies, rep.thm4b_applies) == sign_balance_hypotheses_by_chains(P)
+
+
+@given(cyclic_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_cycle_error_names_a_closed_cycle_of_input_pairs(case):
+    p, pairs = case
+    with pytest.raises(CycleError) as info:
+        poset_from_covers(p, pairs)
+    cycle = info.value.cycle
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    assert set(zip(cycle, cycle[1:])) <= set(pairs)
+
+
+@pytest.mark.parametrize("pairs, cycle", [
+    ([(0, 1), (1, 2), (2, 0)], "0 < 1 < 2 < 0"),
+    ([(0, 1), (1, 0)], "0 < 1 < 0"),
+    ([(3, 4), (0, 1), (1, 2), (2, 3), (3, 1)], "1 < 2 < 3 < 1"),
+    ([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)], "0 < 1 < 2 < 3 < 0"),
+])
+def test_cycle_messages(pairs, cycle):
+    with pytest.raises(CycleError, match=f"^cover relation has a cycle: {cycle}$"):
+        poset_from_covers(5, pairs)
+
+
+def poset_fields(P) -> tuple:
+    """All six fields; Poset equality reads only p and covers."""
+    return P.p, P.covers, P.up, P.down, P.leq_mask, P.geq_mask
+
+
+@given(dag_posets(max_p=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dual_and_restrict_equal_the_posets_built_from_their_pairs(P, data):
+    reversed_covers = [(t, s) for s, t in P.covers]
+    assert poset_fields(dual_poset(P)) == poset_fields(poset_from_covers(P.p, reversed_covers))
+    sub, keep = restrict(P, data.draw(st.sets(st.integers(0, P.p - 1))))
+    index = {t: i for i, t in enumerate(keep)}
+    induced = [(index[s], index[t]) for s in keep for t in keep if P.less(s, t)]
+    assert poset_fields(sub) == poset_fields(poset_from_covers(len(keep), induced))
+
+
+@given(dag_posets(max_p=7))
+@settings(max_examples=80, deadline=None)
+def test_dual_domino_chains_of_the_ideal_lattice_are_the_dual_domino_tableaux(P):
+    """The maximal-chain filter of chains.py and the ideal walk of stats.py
+    give the same dual P-domino tableaux."""
+    J, members = ideals_lattice(P)
+    by_members = [tuple(members[i] for i in m)
+                  for m in dual_domino_chains(graded_from_poset(J))]
+
+    def key(tableau):
+        return [sorted(ideal) for ideal in tableau]
+
+    assert sorted(by_members, key=key) == sorted(dual_domino_tableaux(P), key=key)

@@ -4,11 +4,11 @@ Covers the combinatorial tau_i for slender posets, dual domino chains, the
 cross-polytope closed forms on signed permutations, and the linear operator
 tau_i on the chain vector space of an arbitrary graded poset.
 
-Chain operators read one table of rank-2 interval middles per GradedPoset,
-built from the covers on first use and cached with the slenderness flag, so
-slenderness is checked once per GradedPoset and tau_i is a table lookup.
-The words delta, gamma and gamma* are the ones promotion.py applies to linear
-extensions.
+Each GradedPoset caches its table of rank-2 interval middles and, when it is
+slender, its maximal chains as a ChainSpace: the posets.ExtensionSpace whose
+tau_i row sends a chain to the one through the other middle of [t_{i-1},
+t_{i+1}].  So chain promotion and (dual) evacuation are lookups in the
+`operators` arrays that serve linear extensions, grown along the same runs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import posets
-from .posets import CapExceeded, Poset, _mask_members, _poset_from_reduced
-from .promotion import delta_word, dihedral_group_order, gamma_star_word, gamma_word
+from .posets import CapExceeded, ExtensionSpace, Poset, _mask_members, _poset_from_reduced
+from .promotion import delta_word, dihedral_group_order, gamma_word
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,30 @@ class GradedPoset:
     def slender(self) -> bool:
         return all(len(mids) <= 2 for mids in self.rank2.values())
 
+    @cached_property
+    def space(self) -> "ChainSpace":
+        """The maximal chains as a ChainSpace; raises unless Q is slender."""
+        if not self.slender:
+            raise ValueError("requires a slender poset")
+        return ChainSpace(self)
+
+
+class ChainSpace(ExtensionSpace):
+    """The maximal chains of a slender GradedPoset, sorted, with their `index`; p is the height."""
+
+    def __init__(self, Q: GradedPoset):
+        self.p, self.words, self._rank2 = Q.height, tuple(maximal_chains(Q)), Q.rank2
+        self.index = {m: k for k, m in enumerate(self.words)}
+
+    def _swaps(self, row, i: int, index: dict):
+        """A swap is filled at both ends from the chain through the lower middle."""
+        rank2 = self._rank2
+        for k, m in enumerate(self.words):
+            mids = rank2[m[i - 1], m[i + 1]]
+            if m[i] == mids[0] and len(mids) == 2:
+                row[k] = j = index[m[:i] + mids[1:] + m[i + 1:]]
+                row[j] = k
+
 
 def graded_from_poset(P: Poset) -> GradedPoset:
     """Validate unique bottom/top and that covers raise rank by exactly one."""
@@ -76,52 +100,38 @@ def maximal_chains(Q: GradedPoset) -> list:
     return posets.maximal_chains(Q.poset)
 
 
-def is_slender(Q: GradedPoset) -> bool:
-    """Every rank-2 interval has 3 or 4 elements; computed once per GradedPoset."""
-    return Q.slender
+def _image(Q: GradedPoset, chain, row) -> tuple:
+    """row's image of `chain` in Q.space; raises unless it is a maximal chain."""
+    k = Q.space.index.get(tuple(chain))
+    if k is None:
+        raise ValueError(f"not a maximal chain: {chain}")
+    return Q.space.words[row[k]]
 
 
 def tau_chain(Q: GradedPoset, chain: tuple, i: int):
-    """Swap t_i for the other middle of [t_{i-1}, t_{i+1}] when there is one,
-    by lookup in the rank-2 table; slenderness is checked once per GradedPoset."""
+    """t_i swapped for the other middle of [t_{i-1}, t_{i+1}], if any, by lookup."""
     if not 1 <= i <= Q.height - 1:
         raise IndexError(f"tau index {i} out of range 1..{Q.height - 1}")
-    return _tau_word(Q, chain, (i,))
-
-
-def _tau_word(Q: GradedPoset, chain: tuple, word) -> tuple:
-    """Apply tau_i for each i of `word` (1 <= i < height) in turn."""
-    if not Q.slender:
-        raise ValueError("requires a slender poset")
-    if len(chain) != Q.height + 1:
-        raise ValueError(f"not a maximal chain: {chain}")
-    out = list(chain)
-    for i in word:
-        mids = Q.rank2.get((out[i - 1], out[i + 1]), ())
-        if out[i] not in mids:
-            raise ValueError(f"not a maximal chain: {chain}")
-        if len(mids) == 2:
-            out[i] = mids[1] if mids[0] == out[i] else mids[0]
-    return tuple(out)
+    return _image(Q, chain, Q.space.tau[i])
 
 
 def promote_chain(Q: GradedPoset, chain: tuple) -> tuple:
     """The word delta on a maximal chain (slender posets)."""
-    return _tau_word(Q, chain, delta_word(Q.height))
+    return _image(Q, chain, Q.space.operators["promote"])
 
 
 def evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
     """The word gamma on a maximal chain (slender posets)."""
-    return _tau_word(Q, chain, gamma_word(Q.height))
+    return _image(Q, chain, Q.space.operators["evacuate"])
 
 
 def dual_evacuate_chain(Q: GradedPoset, chain: tuple) -> tuple:
     """The word gamma* on a maximal chain (slender posets)."""
-    return _tau_word(Q, chain, gamma_star_word(Q.height))
+    return _image(Q, chain, Q.space.operators["dual_evacuate"])
 
 
 def self_evacuating_chains(Q: GradedPoset) -> list:
-    return [m for m in maximal_chains(Q) if evacuate_chain(Q, m) == m]
+    return Q.space.fixed_points("evacuate")
 
 
 def dual_domino_chains(Q: GradedPoset) -> list:

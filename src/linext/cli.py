@@ -233,7 +233,7 @@ def cmd_hecke(args):
 
 def cmd_slender(args):
     Q = chains.graded_from_poset(_load_input(args))
-    slender = chains.is_slender(Q)
+    slender = Q.slender
     rows = [
         (
             slender,
@@ -253,7 +253,7 @@ def cmd_crosspoly(args):
         (
             n,
             len(chains.maximal_chains(Q)),
-            chains.is_slender(Q),
+            Q.slender,
             chains.signed_group_order(n),
         )
     ]

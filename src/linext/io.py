@@ -64,9 +64,9 @@ def parse_shape(spec: str) -> Shape:
 
 
 def parse_word(spec: str) -> tuple:
-    """Comma-separated word of element ids."""
+    """Comma-separated word of element ids; '' is the empty word."""
     try:
-        return tuple(int(x) for x in spec.split(","))
+        return tuple(int(x) for x in spec.split(",")) if spec else ()
     except ValueError as exc:
         raise ParseError(f"bad word: {spec!r}") from exc
 

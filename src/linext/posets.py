@@ -21,8 +21,9 @@ The walk fills one ExtensionSpace per poset: L(P) in lex order, kept for the
 SPACE_CACHE_SIZE posets built last.  On first use it builds the tau_i rows,
 then one map from promote, evacuate and dual_evacuate to their index arrays,
 grown along Stanley's runs delta_m = tau_1 ... tau_m (two passes per row).
-A capped `linear_extensions` yields its words, so every capped consumer of
-one poset shares one walk and one set of word tuples.
+`linear_extensions` yields its words, so every consumer of one poset shares
+one walk and one set of word tuples.  chains.ChainSpace is the same space on
+the maximal chains of a slender poset, with its own rule for the tau rows.
 """
 
 from __future__ import annotations
@@ -241,43 +242,39 @@ def _extension_walk(P: Poset) -> Iterator[Word]:
 
 
 def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
-    """Yield every linear extension exactly once, in lexicographic word order.
-
-    Unless `cap` is None, the words are those held by the cached
-    ExtensionSpace of P, and CapExceeded is raised before the first word
-    when e(P) exceeds `cap`.  With `cap` None they come lazily from the walk,
-    and nothing is held.
-    """
-    if cap is None:
-        yield from _extension_walk(P)
-    else:
-        yield from extension_space(P, cap).words
+    """Yield the words of P's cached ExtensionSpace: every linear extension
+    once, in lex order, or CapExceeded before the first when e(P) > cap."""
+    yield from extension_space(P, cap).words
 
 
 class ExtensionSpace:
     """L(P) indexed: `words` in lex order, rows tau[i] (1 <= i < p) with
     tau[i][k] the index of tau_i(words[k]), and the `operators` promote,
-    evacuate and dual_evacuate as index arrays; both built on first use."""
+    evacuate and dual_evacuate as index arrays; both built on first use.
+    A subclass refills the rows by `_swaps` and may keep an `index` {word: k}."""
 
-    def __init__(self, P: Poset, words: tuple):
-        self.p, self.words, self._leq = P.p, words, P.leq_mask
+    def __init__(self, P: Poset, words: tuple):  # no index kept past the rows
+        self.p, self.words, self._leq, self.index = P.p, words, P.leq_mask, None
 
     @cached_property
     def tau(self) -> list:
-        index = {w: k for k, w in enumerate(self.words)}  # only while building
-        leq = self._leq
+        index = self.index or {w: k for k, w in enumerate(self.words)}
         rows = [None]
         for i in range(1, self.p):
             row = array("i", range(len(self.words)))
-            for k, w in enumerate(self.words):
-                # a precedes b, so they are comparable iff a <= b in P; a swap
-                # is filled at both ends from its lex-smaller word, where a < b.
-                a, b = w[i - 1], w[i]
-                if a < b and not leq[a] >> b & 1:
-                    row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
-                    row[j] = k
+            self._swaps(row, i, index)
             rows.append(row)
         return rows
+
+    def _swaps(self, row, i: int, index: dict):
+        """Fill row i: a = w[i-1] and b = w[i] are comparable iff a <= b in P;
+        a swap is filled at both ends from its lex-smaller word, where a < b."""
+        leq = self._leq
+        for k, w in enumerate(self.words):
+            a, b = w[i - 1], w[i]
+            if a < b and not leq[a] >> b & 1:
+                row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
+                row[j] = k
 
     @cached_property
     def operators(self) -> dict:
@@ -301,6 +298,11 @@ class ExtensionSpace:
             g = list(map(g.__getitem__, d))
         return array("i", d), array("i", g)
 
+    def fixed_points(self, name: str) -> list:
+        """The words that the operator `name` fixes, in order."""
+        image = self.operators[name]
+        return [w for k, w in enumerate(self.words) if image[k] == k]
+
 
 SPACE_CACHE_SIZE = 4
 _SPACES = {}  # Poset -> ExtensionSpace, oldest first
@@ -310,10 +312,9 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     """The ExtensionSpace of P, kept for the SPACE_CACHE_SIZE posets built
     last; raises CapExceeded when e(P) > cap, on a cache hit too."""
     space = _SPACES.get(P)
-    if cap is not None:
-        n = count_extensions(P, DEFAULT_IDEAL_CAP, cap) if space is None else len(space.words)
-        if n > cap:
-            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
+    n = count_extensions(P, DEFAULT_IDEAL_CAP, cap) if space is None else len(space.words)
+    if n > cap:
+        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     if space is None:
         space = _SPACES[P] = ExtensionSpace(P, tuple(_extension_walk(P)))
         if len(_SPACES) > SPACE_CACHE_SIZE:
@@ -498,7 +499,7 @@ def natural_relabel(P: Poset):
     Returns (poset, relabel) with relabel[old] = new; the result is a natural
     partial order isomorphic to P, and the identity when P is already natural.
     """
-    word = next(linear_extensions(P, cap=None))
+    word = next(_extension_walk(P))
     relabel = [0] * P.p
     for i, t in enumerate(word):
         relabel[t] = i

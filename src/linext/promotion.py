@@ -25,9 +25,9 @@ from .posets import (
 )
 
 
-# The operator words in tau_1 .. tau_{n-1}.  They serve linear extensions
-# (n = p), maximal chains of a slender poset (n = its rank) and the Hecke
-# algebra H_n(q) (E_i in place of tau_i).
+# The operator words in tau_1 .. tau_{n-1}.  They serve single linear
+# extensions (n = p), the linear tau on chains of a graded poset (n = its
+# rank) and the Hecke algebra H_n(q) (E_i in place of tau_i).
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +115,10 @@ def _slide(up, word: Word):
     Returns (f d, promotion chain t_1 < t_2 < ... < t_k).  Labels are the
     1-based word positions; label 1 is removed, the smallest cover label
     repeatedly slides down, the final maximal element gets p+1, then all
-    labels drop by one.
+    labels drop by one.  The empty word is fixed, with the empty chain.
     """
+    if not word:
+        return (), ()
     label = {t: i + 1 for i, t in enumerate(word)}
     cur = word[0]
     del label[cur]

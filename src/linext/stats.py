@@ -82,8 +82,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     """All dual P-domino tableaux as chains of ideals (tuples of frozensets).
 
     A step adds a two-element chain {s, t} with s < t; the first step adds a
-    single element when p is odd.  Raises CapExceeded once more than `cap`
-    tableaux are found (never when `cap` is None).
+    single element when p is odd.  Raises CapExceeded past `cap` tableaux.
     """
     full = (1 << P.p) - 1
     down_sets = _down_sets(P, range(P.p))
@@ -94,7 +93,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
         chain_acc = chain_acc + [frozenset(_mask_members(mask))]
         if mask == full:
             out.append(tuple(chain_acc))
-            if cap is not None and len(out) > cap:
+            if len(out) > cap:
                 raise CapExceeded(f"more than {cap} dual domino tableaux")
             return
         for s_bit in _addable(down_sets, mask):
@@ -135,9 +134,7 @@ def is_dual_domino_word(P: Poset, word: Word) -> bool:
 
 def self_evacuating(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     """The fixed points of evacuation, read off its index array on L(P)."""
-    space = extension_space(P, cap)
-    evac = space.operators["evacuate"]
-    return [w for k, w in enumerate(space.words) if evac[k] == k]
+    return extension_space(P, cap).fixed_points("evacuate")
 
 
 def domino_to_selfevac(P: Poset, word: Word) -> Word:

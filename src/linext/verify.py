@@ -319,7 +319,7 @@ def verify_crosspoly() -> list:
         )
         if n <= 4:
             Q, faces = chains.cross_polytope(n)
-            ok = chains.is_slender(Q)
+            ok = Q.slender
             pairs = (
                 (chains.promote_chain, chains.signed_delta),
                 (chains.evacuate_chain, chains.signed_gamma),

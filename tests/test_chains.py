@@ -18,7 +18,6 @@ from linext.chains import (
     evacuate_chain,
     evacuate_chains,
     graded_from_poset,
-    is_slender,
     linear_tau,
     maximal_chains,
     promote_chain,
@@ -37,6 +36,7 @@ from linext.flags import subspace_lattice
 from linext.posets import Shape, ideals_lattice, shape_poset
 from linext.posets import chain as chain_poset
 from linext.posets import poset_from_covers
+from linext.stats import self_evacuating
 
 
 def graded(P):
@@ -52,9 +52,9 @@ def test_graded_rejects_unranked():
 
 def test_boolean_lattice_is_slender_weak_order_too():
     b3 = graded(boolean_lattice(3))
-    assert is_slender(b3)
+    assert b3.slender
     ws3 = graded(weak_order_s3())
-    assert is_slender(ws3)
+    assert ws3.slender
     assert len(maximal_chains(b3)) == 6
     assert len(maximal_chains(ws3)) == 2
 
@@ -92,6 +92,49 @@ def test_rank2_table_matches_middles(which):
             assert tau_chain(Q, m, i) == _tau_by_middles(Q, m, i)
 
 
+@st.composite
+def dag_ideal_lattices(draw, max_p=6):
+    """(P, J(P) graded, members of each ideal) for a random poset P on
+    1..max_p elements, ids shuffled so it need not be natural."""
+    p = draw(st.integers(1, max_p))
+    ids = draw(st.permutations(range(p)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                          max_size=2 * p))
+    P = poset_from_covers(p, [(ids[s], ids[t]) for s, t in pairs if s < t])
+    J, members = ideals_lattice(P)
+    return P, graded(J), members
+
+
+@given(dag_ideal_lattices())
+@settings(max_examples=60, deadline=None)
+def test_chain_tau_rows_are_the_swaps_of_middles(PQ):
+    _, Q, _ = PQ
+    for m in maximal_chains(Q):
+        for i in range(1, Q.height):
+            assert tau_chain(Q, m, i) == _tau_by_middles(Q, m, i)
+
+
+@given(dag_ideal_lattices())
+@settings(max_examples=60, deadline=None)
+def test_self_evacuating_chains_are_the_prefix_chains_of_self_evacuating_words(PQ):
+    P, Q, members = PQ
+    index = {ideal: k for k, ideal in enumerate(members)}
+    prefix_chains = [tuple(index[frozenset(w[:k])] for k in range(P.p + 1))
+                     for w in self_evacuating(P)]
+    assert self_evacuating_chains(Q) == sorted(prefix_chains)
+
+
+@given(dag_ideal_lattices(max_p=4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_chain_operators_accept_a_list(PQ, data):
+    _, Q, _ = PQ
+    m = data.draw(st.sampled_from(maximal_chains(Q)))
+    for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
+        assert op(Q, list(m)) == op(Q, m)
+    for i in range(1, Q.height):
+        assert tau_chain(Q, list(m), i) == tau_chain(Q, m, i)
+
+
 def test_dual_evacuate_chain_is_signed_gamma_star():
     Q, faces = cross_polytope(4)
     for m in maximal_chains(Q):
@@ -114,7 +157,7 @@ def test_non_slender_rejected_on_every_call():
         for _ in range(2):
             with pytest.raises(ValueError, match="slender"):
                 call()
-    assert not is_slender(Q) and not is_slender(Q)
+    assert not Q.slender
 
 
 def test_non_maximal_chain_rejected():
@@ -130,6 +173,12 @@ def test_non_maximal_chain_rejected():
                 op(b3, bad)
     with pytest.raises(ValueError, match="not a maximal chain"):
         tau_chain(b3, wrong_middle, 1)
+    with pytest.raises(ValueError, match="not a maximal chain"):
+        tau_chain(b3, m[1:2] + m[1:], 2)  # t_0 = t_1: broken away from i
+    c2 = graded(chain_poset(2))  # height 1: every word is empty
+    for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
+        with pytest.raises(ValueError, match="not a maximal chain"):
+            op(c2, (1, 0))
     with pytest.raises(ValueError, match="not a maximal chain"):
         chain_neighbors(b3, wrong_middle, 1)
 
@@ -168,7 +217,7 @@ def test_cross_polytope_chain_count(n):
     # maximal chains correspond to signed permutations: 2^n * n!
     expect = (2 ** n) * [1, 1, 2, 6][n]
     assert len(maximal_chains(Q)) == expect
-    assert is_slender(Q)
+    assert Q.slender
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -59,6 +59,9 @@ def test_shape_parsing():
 def test_word_roundtrip():
     assert parse_word("0,2,1") == (0, 2, 1)
     assert format_word((0, 2, 1)) == "0,2,1"
+    assert parse_word("") == () and format_word(()) == ""
+    with pytest.raises(ParseError):
+        parse_word(",")
 
 
 def test_corpus_files_load():
@@ -195,6 +198,17 @@ def test_cli_signbalance_on_the_empty_poset(tmp_path, capsys):
     f.write_text("p=0\n")
     code, out, _ = run_cli(["stats", "signbalance", "--poset", str(f)], capsys)
     assert code == 0 and out.splitlines()[1] == "False\tFalse\tFalse\t1\t0"
+
+
+def test_cli_word_operators_take_the_empty_word_of_the_empty_poset(tmp_path, capsys):
+    f = tmp_path / "empty.poset"
+    f.write_text("p=0\n")
+    for verb in ("promote", "evacuate"):
+        for dual in ([], ["--dual"]):
+            code, out, _ = run_cli([verb, "--poset", str(f), "--word", ""] + dual, capsys)
+            assert (code, out) == (0, "\n")
+    code, out, err = run_cli(["promote", "--poset", "corpus:diamond", "--word", ""], capsys)
+    assert (code, out) == (2, "") and "not a linear extension" in err
 
 
 def test_cli_hecke_verify_needs_cid_or_div(capsys):

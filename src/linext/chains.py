@@ -5,9 +5,9 @@ cross-polytope closed forms on signed permutations, and the linear operator
 tau_i on the chain vector space of an arbitrary graded poset.
 
 Each GradedPoset caches its table of rank-2 interval middles and, when it is
-slender, its maximal chains as a ChainSpace: the posets.ExtensionSpace whose
-tau_i row sends a chain to the one through the other middle of [t_{i-1},
-t_{i+1}].  So chain promotion and (dual) evacuation are lookups in the
+slender, its maximal chains as a posets.ExtensionSpace: the paths up its
+covers from the bottom, whose tau_i rows come from the rule that fills those
+of L(P).  So chain promotion and (dual) evacuation are lookups in the
 `operators` arrays that serve linear extensions, grown along the same runs.
 """
 
@@ -52,28 +52,18 @@ class GradedPoset:
         return all(len(mids) <= 2 for mids in self.rank2.values())
 
     @cached_property
-    def space(self) -> "ChainSpace":
-        """The maximal chains as a ChainSpace; raises unless Q is slender."""
+    def space(self) -> ExtensionSpace:
+        """The maximal chains as paths up the covers; raises unless Q is slender."""
         if not self.slender:
             raise ValueError("requires a slender poset")
-        return ChainSpace(self)
+        up, by_rank = self.poset.up, sorted(range(self.poset.p), key=self.rank.__getitem__)
+        kids = {x: [(t, t) for t in up[x]] for x in by_rank}
+        return ExtensionSpace(self.height, self.bottom, kids, (self.bottom,))
 
-
-class ChainSpace(ExtensionSpace):
-    """The maximal chains of a slender GradedPoset, sorted, with their `index`; p is the height."""
-
-    def __init__(self, Q: GradedPoset):
-        self.p, self.words, self._rank2 = Q.height, tuple(maximal_chains(Q)), Q.rank2
-        self.index = {m: k for k, m in enumerate(self.words)}
-
-    def _swaps(self, row, i: int, index: dict):
-        """A swap is filled at both ends from the chain through the lower middle."""
-        rank2 = self._rank2
-        for k, m in enumerate(self.words):
-            mids = rank2[m[i - 1], m[i + 1]]
-            if m[i] == mids[0] and len(mids) == 2:
-                row[k] = j = index[m[:i] + mids[1:] + m[i + 1:]]
-                row[j] = k
+    @cached_property
+    def index(self) -> dict:
+        """{chain: k} over the chains of `space`, for the chain operators."""
+        return {m: k for k, m in enumerate(self.space.words)}
 
 
 def graded_from_poset(P: Poset) -> GradedPoset:
@@ -102,7 +92,7 @@ def maximal_chains(Q: GradedPoset) -> list:
 
 def _image(Q: GradedPoset, chain, row) -> tuple:
     """row's image of `chain` in Q.space; raises unless it is a maximal chain."""
-    k = Q.space.index.get(tuple(chain))
+    k = Q.index.get(tuple(chain))
     if k is None:
         raise ValueError(f"not a maximal chain: {chain}")
     return Q.space.words[row[k]]

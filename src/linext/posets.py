@@ -13,22 +13,21 @@ L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
 rule for the elements that can be added to an ideal: I gains t iff
 I & geq == below, with t's down-set geq and strict down-set below from
 `_down_sets`.  One layered walk (`_ideal_layers`) serves `count_extensions`,
-`ideals` and `ideals_lattice`; it builds each layer by one pass per element
-over the whole layer before it.  `_addable` applies the rule to one ideal,
-and `_extension_walk` follows it depth first.
+`ideals`, `ideals_lattice` and the graph of J(P) that L(P) is read from; it
+builds each layer by one pass per element over the whole layer before it.
 
-The walk fills one ExtensionSpace per poset: L(P) in lex order, kept for the
-SPACE_CACHE_SIZE posets built last.  On first use it builds the tau_i rows,
-then one map from promote, evacuate and dual_evacuate to their index arrays,
-grown along Stanley's runs delta_m = tau_1 ... tau_m (two passes per row).
-`linear_extensions` yields its words, so every consumer of one poset shares
-one walk and one set of word tuples.  chains.ChainSpace is the same space on
-the maximal chains of a slender poset, with its own rule for the tau rows.
+An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
+from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
+chains of a slender poset.  It fills its tau_i rows by swapping equal blocks
+of paths, and grows promote, evacuate and dual_evacuate from them along
+Stanley's runs delta_m = tau_1 ... tau_m.  One iterative lex walk
+(`_lex_walk`) reads its paths, maximal chains and dual domino tableaux.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -217,28 +216,23 @@ def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
         layer = nxt
 
 
-def _extension_walk(P: Poset) -> Iterator[Word]:
-    """Every linear extension once, in lexicographic word order: the depth
-    first walk of J(P) over addable elements, lazy and uncapped."""
-    above = [_down_sets(P, P.up[t]) for t in range(P.p)]
-    word = []
-
-    def rec(mask: int, addable: int):  # addable: the bits of the addable elements
-        if not addable:
-            yield tuple(word)
-            return
-        rest = addable
-        while rest:  # ascending bits, so lexicographic words
-            bit = rest & -rest
-            rest ^= bit
-            t = bit.bit_length() - 1
-            m = mask | bit
-            word.append(t)
-            # Only elements covering t can become addable; sum of bits = union.
-            yield from rec(m, addable ^ bit | sum(_addable(above[t], m)))
-            word.pop()
-
-    yield from rec(0, sum(_addable(_down_sets(P, range(P.p)), 0)))
+def _lex_walk(root, kids, head: tuple = ()) -> Iterator[tuple]:
+    """Depth first from `root` over kids(x), the (letter, child) pairs of x in
+    lex order, on a stack of iterators: yields (path, x) at each node x, path
+    being the one list of head and the letters to x, changed as it goes on."""
+    path = list(head)
+    yield path, root
+    stack = [iter(kids(root))]
+    while stack:
+        for letter, x in stack[-1]:
+            path.append(letter)
+            yield path, x
+            stack.append(iter(kids(x)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                path.pop()
 
 
 def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:
@@ -248,33 +242,44 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Wo
 
 
 class ExtensionSpace:
-    """L(P) indexed: `words` in lex order, rows tau[i] (1 <= i < p) with
-    tau[i][k] the index of tau_i(words[k]), and the `operators` promote,
-    evacuate and dual_evacuate as index arrays; both built on first use.
-    A subclass refills the rows by `_swaps` and may keep an `index` {word: k}."""
+    """The maximal paths of p letters from `root` of a graded DAG, kids[x]
+    the (letter, child) pairs of x by ascending letter and the nodes by depth:
+    `words` (head + letters, in lex order), and on first use rows tau[i]
+    (1 <= i < p), tau[i][k] the index of tau_i(words[k]), and `operators`."""
 
-    def __init__(self, P: Poset, words: tuple):  # no index kept past the rows
-        self.p, self.words, self._leq, self.index = P.p, words, P.leq_mask, None
+    def __init__(self, p: int, root, kids: dict, head: tuple = ()):
+        self.p, self.root, self.kids = p, root, kids
+        self.words = tuple(tuple(path) for path, x in _lex_walk(root, kids.__getitem__, head)
+                           if not kids[x])
 
     @cached_property
     def tau(self) -> list:
-        index = self.index or {w: k for k, w in enumerate(self.words)}
-        rows = [None]
-        for i in range(1, self.p):
-            row = array("i", range(len(self.words)))
-            self._swaps(row, i, index)
-            rows.append(row)
+        """Row i swaps the count[z] words through x -> y -> z with those through x -> y' -> z
+        (x at depth i - 1, children y < y' of x): blocks[x] lists their offsets past x's
+        first word and count[z], and live[x] the (offset, child) pairs that lead to blocks."""
+        kids, count, blocks, live = self.kids, {}, {}, {}
+        for x in reversed(kids):
+            first, alive, off = {}, [], 0
+            for _, y in kids[x]:
+                if live[y] or y in blocks:
+                    alive.append((off, y))
+                at = off
+                for _, z in kids[y]:
+                    if z in first:
+                        blocks.setdefault(x, []).append((first[z], at, count[z]))
+                    else:
+                        first[z] = at
+                    at += count[z]
+                off += count[y]
+            count[x], live[x] = off or 1, alive
+        ident = array("i", range(len(self.words)))
+        rows = [None] + [ident[:] for _ in range(1, self.p)]
+        for offsets, x in _lex_walk(self.root, live.__getitem__):
+            s = sum(offsets)  # x's first word is words[s]
+            for a, b, n in blocks.get(x, ()):
+                a, b, row = a + s, b + s, rows[len(offsets) + 1]
+                row[a:a + n], row[b:b + n] = ident[b:b + n], ident[a:a + n]
         return rows
-
-    def _swaps(self, row, i: int, index: dict):
-        """Fill row i: a = w[i-1] and b = w[i] are comparable iff a <= b in P;
-        a swap is filled at both ends from its lex-smaller word, where a < b."""
-        leq = self._leq
-        for k, w in enumerate(self.words):
-            a, b = w[i - 1], w[i]
-            if a < b and not leq[a] >> b & 1:
-                row[k] = j = index[w[:i - 1] + (b, a) + w[i + 1:]]
-                row[j] = k
 
     @cached_property
     def operators(self) -> dict:
@@ -309,16 +314,25 @@ _SPACES = {}  # Poset -> ExtensionSpace, oldest first
 
 
 def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
-    """The ExtensionSpace of P, kept for the SPACE_CACHE_SIZE posets built
-    last; raises CapExceeded when e(P) > cap, on a cache hit too."""
+    """The cached ExtensionSpace of P (see SPACE_CACHE_SIZE); raises
+    CapExceeded when e(P) > cap, before any word is built, and on a hit too."""
     space = _SPACES.get(P)
-    n = count_extensions(P, DEFAULT_IDEAL_CAP, cap) if space is None else len(space.words)
-    if n > cap:
-        raise CapExceeded(f"e(P) = {n} exceeds cap {cap}")
     if space is None:
-        space = _SPACES[P] = ExtensionSpace(P, tuple(_extension_walk(P)))
+        down_sets, kids = _down_sets(P, range(P.p)), {}
+        try:
+            for layer in _ideal_layers(P, DEFAULT_IDEAL_CAP, ""):
+                if sum(layer.values()) > cap:  # a lower bound on e(P), see count_extensions
+                    raise CapExceeded
+                for mask in layer:  # kids[I]: (t, I + t) per t addable to I
+                    kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
+        except CapExceeded:  # of e(P) or of the ideals, which count_extensions names
+            n = count_extensions(P, DEFAULT_IDEAL_CAP, cap)
+            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}") from None
+        space = _SPACES[P] = ExtensionSpace(P.p, 0, kids)
         if len(_SPACES) > SPACE_CACHE_SIZE:
             del _SPACES[next(iter(_SPACES))]
+    elif len(space.words) > cap:
+        raise CapExceeded(f"e(P) = {len(space.words)} exceeds cap {cap}")
     return space
 
 
@@ -442,19 +456,10 @@ def conjugate_extension(word: Word) -> Word:
 
 
 def maximal_chains(P: Poset) -> list:
-    """All maximal chains (minimal to maximal element), sorted."""
-    out = []
-    stack = [[t] for t in P.minimals()]
-    while stack:
-        path = stack.pop()
-        ups = P.up[path[-1]]
-        if not ups:
-            out.append(tuple(path))
-        else:
-            for t in ups:
-                stack.append(path + [t])
-    out.sort()
-    return out
+    """All maximal chains (minimal to maximal element), in lex order."""
+    steps = [tuple(zip(up, up)) for up in P.up]  # a cover t is both letter and child
+    return [tuple(path) for m in P.minimals() for path, t in _lex_walk(m, steps.__getitem__, (m,))
+            if not steps[t]]
 
 
 def is_antichain(P: Poset, A) -> bool:
@@ -494,14 +499,21 @@ def is_natural(P: Poset) -> bool:
 
 
 def natural_relabel(P: Poset):
-    """Relabel along the lex-first linear extension.
+    """Relabel along the lex-first linear extension, which takes the least
+    addable element p times (Kahn's sort, least first), so J(P) is never built.
 
     Returns (poset, relabel) with relabel[old] = new; the result is a natural
     partial order isomorphic to P, and the identity when P is already natural.
     """
-    word = next(_extension_walk(P))
+    waiting = [len(below) for below in P.down]
+    ready = [t for t in range(P.p) if not waiting[t]]  # kept ascending
     relabel = [0] * P.p
-    for i, t in enumerate(word):
+    for i in range(P.p):
+        t = ready.pop(0)
         relabel[t] = i
+        for u in P.up[t]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                insort(ready, u)
     newp = _poset_from_reduced(P.p, [(relabel[s], relabel[t]) for (s, t) in P.covers])
     return newp, tuple(relabel)

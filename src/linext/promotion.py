@@ -186,8 +186,10 @@ def evacuate_by_freezing(P: Poset, word: Word) -> Word:
 def principal_chain(P: Poset, word: Word) -> tuple:
     """The chain visited by the label starting at f^{-1}(p) over p promotions.
 
-    Returned in increasing order of P.
+    Returned in increasing order of P; the empty word gives the empty chain.
     """
+    if not word:
+        return ()
     cur = word[-1]
     visited = [cur]
     w = word

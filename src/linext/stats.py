@@ -21,6 +21,7 @@ from .posets import (
     Word,
     _addable,
     _down_sets,
+    _lex_walk,
     _mask_members,
     extension_space,
     is_natural,
@@ -87,25 +88,19 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     full = (1 << P.p) - 1
     down_sets = _down_sets(P, range(P.p))
     above = [_down_sets(P, P.up[s]) for s in range(P.p)]
-    out = []
 
-    def rec(mask, chain_acc):
-        chain_acc = chain_acc + [frozenset(_mask_members(mask))]
+    def steps(mask):  # (ideal, its mask) per step up from `mask`, by (s, t)
+        ms = [mask | bit for bit in _addable(down_sets, mask)]
+        if mask or not P.p % 2:  # bar an odd p's first step; a t > s addable now covers s
+            ms = [m | bit for m in ms for bit in _addable(above[(m ^ mask).bit_length() - 1], m)]
+        return [(frozenset(_mask_members(m)), m) for m in ms]
+
+    out = []
+    for path, mask in _lex_walk(0, steps, (frozenset(),)):
         if mask == full:
-            out.append(tuple(chain_acc))
+            out.append(tuple(path))
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} dual domino tableaux")
-            return
-        for s_bit in _addable(down_sets, mask):
-            m = mask | s_bit
-            if P.p % 2 and not mask:  # the first step of an odd p adds one element
-                rec(m, chain_acc)
-                continue
-            # t > s is addable once s is in exactly when t covers s.
-            for t_bit in _addable(above[s_bit.bit_length() - 1], m):
-                rec(m | t_bit, chain_acc)
-
-    rec(0, [])
     return out
 
 

@@ -211,6 +211,38 @@ def test_cli_word_operators_take_the_empty_word_of_the_empty_poset(tmp_path, cap
     assert (code, out) == (2, "") and "not a linear extension" in err
 
 
+def _under_recursion_limit(limit, run):
+    """run() with the interpreter's recursion limit lowered to `limit`."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_cli_extension_verbs_on_a_1000_element_chain(capsys):
+    # A one-row shape of 1000 cells is a 1000-element chain, with e(P) = 1.
+    runs = _under_recursion_limit(250, lambda: {
+        verb: run_cli(verb.split() + ["--shape", "1000"], capsys)
+        for verb in ("le", "orbits", "stats wprime")})
+    assert {verb: (code, err) for verb, (code, _, err) in runs.items()} == dict.fromkeys(runs, (0, ""))
+    assert runs["le"][1] == "extension\n" + ",".join(map(str, range(1000))) + "\n"
+    assert runs["orbits"][1].splitlines()[1] == "promote\t1\t1"
+    assert runs["stats wprime"][1] == "1\n"
+
+
+def test_cli_domino_tableaux_of_a_long_chain(capsys):
+    # 300 domino steps, each of two elements, under a recursion limit of 250.
+    code, out, err = _under_recursion_limit(
+        250, lambda: run_cli(["stats", "domino", "--shape", "600"], capsys))
+    assert (code, err) == (0, "")
+    (tableau,) = out.splitlines()[1:]
+    ideals = tableau.split(" | ")
+    assert ideals[:3] == ["", "0,1", "0,1,2,3"] and len(ideals) == 301
+    assert ideals[-1] == ",".join(map(str, range(600)))
+
+
 def test_cli_hecke_verify_needs_cid_or_div(capsys):
     code, out, err = run_cli(["hecke", "verify", "--n", "3"], capsys)
     assert code == 2 and out == ""

@@ -183,6 +183,10 @@ def test_maximal_chains_of_fence():
     assert chains_ == {(0, 1), (2, 1), (2, 3)}
 
 
+def test_maximal_chains_of_the_empty_poset():
+    assert maximal_chains(antichain(0)) == []
+
+
 def test_antichain_cutting():
     P = poset_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert antichain_cuts_all_chains(P, (1, 2))
@@ -219,6 +223,14 @@ def test_natural_relabel_preserves_structure(P):
     assert count_extensions(Q) == count_extensions(P)
     for s, t in P.covers:
         assert Q.leq(relab[s], relab[t])
+
+
+def test_natural_relabel_builds_no_ideal_lattice():
+    # J(antichain(60)) has 2^60 ideals; the least addable element is taken 60 times.
+    Q, relabel = natural_relabel(antichain(60))
+    assert relabel == tuple(range(60)) and Q == antichain(60)
+    Q, relabel = natural_relabel(dual_poset(chain(1200)))
+    assert relabel == tuple(range(1199, -1, -1)) and Q == chain(1200)
 
 
 def test_extension_cap():

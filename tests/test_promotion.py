@@ -116,6 +116,7 @@ def test_the_empty_word_is_fixed():
     assert promote_slide(P, ()) == ((), ())
     for op in (promote, dual_promote, evacuate, dual_evacuate):
         assert op(P, ()) == ()
+    assert principal_chain(P, ()) == trajectory(P, ()) == ()
 
 
 @given(st.sampled_from(sorted(CORPUS)))
@@ -232,16 +233,16 @@ def test_dihedral_orders():
 # --- the cached ExtensionSpace -----------------------------------------------
 
 def _count_walks(monkeypatch) -> list:
-    """Empty the space cache and record the poset of every walk of L(P)."""
+    """Empty the space cache and record the arguments of every build of L(P)."""
     monkeypatch.setattr(posets, "_SPACES", {})
     calls = []
-    walk = posets._extension_walk
+    build = posets.ExtensionSpace
 
-    def counting(P):
-        calls.append(P)
-        return walk(P)
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(posets, "_extension_walk", counting)
+    monkeypatch.setattr(posets, "ExtensionSpace", counting)
     return calls
 
 

@@ -15,7 +15,6 @@ from linext.posets import (
     CapExceeded,
     CycleError,
     Shape,
-    _extension_walk,
     _ideal_layers,
     count_extensions,
     dual_poset,
@@ -100,6 +99,15 @@ def census(values) -> tuple:
     for v in values:
         coeffs[v] += 1
     return pnorm(coeffs)
+
+
+def lex_extensions(P, prefix=()) -> list:
+    """Every linear extension in lex order, each prefix grown by every
+    element whose lower covers it holds: a reference that never builds J(P)."""
+    if len(prefix) == P.p:
+        return [prefix]
+    return [w for t in range(P.p) if t not in prefix and set(P.down[t]) <= set(prefix)
+            for w in lex_extensions(P, prefix + (t,))]
 
 
 @st.composite
@@ -223,7 +231,7 @@ def test_count_matches_enumeration_and_cap_is_checked_first(P):
 @given(dag_posets(max_p=6))
 @settings(max_examples=60, deadline=None)
 def test_capped_words_are_the_walk_and_a_cache_hit_checks_the_cap(P):
-    words = list(_extension_walk(P))
+    words = lex_extensions(P)
     e = len(words)
     space = extension_space(P, cap=e)
     assert list(linear_extensions(P, cap=e)) == words
@@ -237,7 +245,7 @@ def test_capped_words_are_the_walk_and_a_cache_hit_checks_the_cap(P):
 @settings(max_examples=60, deadline=None)
 def test_self_evacuating_are_the_fixed_points_of_freezing(P):
     assert self_evacuating(P) == [
-        w for w in _extension_walk(P) if evacuate_by_freezing(P, w) == w
+        w for w in lex_extensions(P) if evacuate_by_freezing(P, w) == w
     ]
 
 
@@ -297,7 +305,21 @@ def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P)
             assert len(S) == size
             assert all(s in S for (s, t) in P.covers if t in S)  # down-closed
             sub, _ = restrict(P, S)
-            assert paths == len(list(_extension_walk(sub))), S
+            assert paths == len(lex_extensions(sub)), S
+
+
+def brute_force_maximal_chains(P) -> list:
+    """The chains that no element of P extends, each listed upward, sorted."""
+    chains_ = [S for S in map(members_of, range(1 << P.p))
+               if all(P.comparable(s, t) for s in S for t in S)]
+    maximal = [S for S in chains_ if not any(set(S) < set(T) for T in chains_)]
+    return sorted(tuple(sorted(S, key=lambda t: P.geq_mask[t].bit_count())) for S in maximal)
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_maximal_chains_are_the_unextendable_chains_in_order(P):
+    assert maximal_chains(P) == brute_force_maximal_chains(P)
 
 
 @given(dag_posets(max_p=8))

@@ -4,7 +4,7 @@ Submodules:
   posets     - finite posets, ideals, J(P), shapes, linear extensions
   promotion  - tau operators, promotion, evacuation, orbit structure
   stats      - descents, comaj, domino tableaux, sign balance
-  ratfunc    - exact integer polynomials and rational functions
+  ratfunc    - exact integer polynomials and the ring Q[q, 1/(q+1)]
   sieve      - hooks, maj, F(q), cyclic sieving on rectangles
   hecke      - the Hecke algebra H_n(q) and the evacuation expansion
   chains     - promotion/evacuation on maximal chains of graded posets

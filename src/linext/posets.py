@@ -132,15 +132,18 @@ def _reduce(leq_mask, geq_mask) -> list:
 def poset_from_covers(p: int, covers) -> Poset:
     """Build a poset from relation pairs; applies transitive reduction.
 
-    Rejects out-of-range ids and cycles (with a cycle witness).
+    Rejects out-of-range ids and cycles (with a cycle witness).  A cover of
+    the closure is one of the input pairs, so only those are tested, and
+    repeated pairs are dropped.
     """
     for s, t in covers:
         if not (0 <= s < p and 0 <= t < p):
             raise ValueError(f"pair ({s},{t}) references an id outside 0..{p - 1}")
         if s == t:
             raise CycleError([s, t])
-    masks = _closure_masks(p, *_adjacency(p, covers))
-    return _poset_from_reduced(p, _reduce(*masks), masks)
+    leq, geq = masks = _closure_masks(p, *_adjacency(p, covers))
+    reduced = {(s, t) for s, t in covers if leq[s] & geq[t] == 1 << s | 1 << t}
+    return _poset_from_reduced(p, reduced, masks)
 
 
 def _poset_from_reduced(p: int, covers, masks: tuple = None) -> Poset:

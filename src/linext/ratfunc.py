@@ -1,19 +1,19 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact integer polynomials, and rational functions in Q[q, 1/(q+1)].
 
 Polynomials are tuples of ints in ascending degree with no trailing zeros;
-the empty tuple is the zero polynomial.  Rational functions are kept in a
-canonical reduced form: primitive integer numerator and denominator, the
-denominator with positive leading coefficient, and the rational content
-folded into a scalar factor.
+the empty tuple is the zero polynomial.
 
 Polynomial division is integer-only.  One long division in Z[x] gives the
-quotient and remainder that `pdiv_exact`, `prem_monic` and the
-pseudo-remainders of `pgcd` read; a step whose quotient is not an integer
-raises `InexactDivision`, an ArithmeticError.  Factors (q - r) come off by
-integer synthetic division (`deflate`).  A denominator that is +-(q+1)^k,
-as every Hecke coefficient has, is reduced by stripping (q+1) from the
-numerator; any other goes through `pgcd`.  `Fraction` appears only in the
-scalar factor and in evaluation.
+quotient and remainder that `pdiv_exact` and `prem_monic` read; a step whose
+quotient is not an integer raises `InexactDivision`, an ArithmeticError.
+Factors (q - r) come off by integer synthetic division (`deflate`).
+
+Every Hecke coefficient lies in the ring Q[q, 1/(q+1)], since
+E_i = (q - 1 - 2 T_i) / (q + 1), so a `RatFunc` is coef * num / (q+1)^k.
+`RatFunc.make` accepts a denominator c * (q+1)^k only, and reduces by
+stripping (q+1) from the numerator; any other denominator is an internal
+fault and raises ArithmeticError.  `Fraction` appears only in the scalar
+factor and in evaluation.
 """
 
 from __future__ import annotations
@@ -107,11 +107,6 @@ def _split_content(a: IntPoly) -> tuple:
     return c, tuple(x // c for x in a)
 
 
-def pprim(a: IntPoly) -> IntPoly:
-    """Primitive part with positive leading coefficient."""
-    return _split_content(a)[1] if a else a
-
-
 class InexactDivision(ArithmeticError):
     """An exact polynomial division whose quotient is not in Z[x]."""
 
@@ -176,46 +171,10 @@ def prem_monic(a: IntPoly, b: IntPoly) -> IntPoly:
     return _long_division(a, b)[1]
 
 
-def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q[x] (positive leading coefficient).
-
-    Each step takes the pseudo-remainder of a by b: the remainder of
-    lead(b)^(deg a - deg b + 1) * a, whose division is integral.  Being
-    primitive, the gcd divides a and b in Z[x] (Gauss's lemma), so
-    pdiv_exact by it never fails.
-    """
-    a, b = pprim(a), pprim(b)
-    while b:
-        if pdeg(a) < pdeg(b):
-            a, b = b, a
-            continue
-        r = _long_division(pscale(a, b[-1] ** (pdeg(a) - pdeg(b) + 1)), b)[1]
-        a, b = b, pprim(r)
-    return a if a else ZERO_POLY
-
-
 @lru_cache(maxsize=None)
-def _qp1_powers(k: int) -> tuple:
-    """((q+1)^k, -(q+1)^k)."""
-    p = ppow(Q_PLUS_1, k)
-    return p, pneg(p)
-
-
-def _cancel(num: IntPoly, den: IntPoly) -> tuple:
-    """(num / g, den / g) for g = pgcd(num, den); num must be nonzero.
-
-    When den = +-(q+1)^k, g is the (q+1)-part of num up to (q+1)^k, so it
-    is stripped by synthetic division at q = -1 with no gcd computed.
-    """
-    k = pdeg(den)
-    powers = _qp1_powers(k)
-    if den in powers:
-        m, num = deflate(num, -1, k)
-        return num, _qp1_powers(k - m)[powers.index(den)]
-    g = pgcd(num, den)
-    if pdeg(g) > 0:
-        return pdiv_exact(num, g), pdiv_exact(den, g)
-    return num, den
+def _qp1_power(k: int) -> IntPoly:
+    """(q+1)^k."""
+    return ppow(Q_PLUS_1, k)
 
 
 @lru_cache(maxsize=None)
@@ -251,11 +210,11 @@ def poly_str(a: IntPoly, var: str = "q") -> str:
 
 
 class RatFunc:
-    """Rational function over Q in canonical reduced form.
+    """An element coef * num / (q+1)^k of Q[q, 1/(q+1)] in canonical form.
 
-    Stored as coef * num / den with coef a Fraction, num and den primitive
-    integer polynomials, den with positive leading coefficient, and
-    gcd(num, den) = 1.  Zero is coef == 0 with num = den = 1.
+    coef is a Fraction, num a primitive integer polynomial with positive
+    leading coefficient and num(-1) != 0 unless k = 0, and den = (q+1)^k.
+    Zero is coef == 0 with num = den = 1.
     """
 
     __slots__ = ("coef", "num", "den")
@@ -268,22 +227,21 @@ class RatFunc:
 
     @staticmethod
     def make(num: IntPoly, den: IntPoly, coef: Fraction = Fraction(1)) -> "RatFunc":
+        """coef * num / den in canonical form.  den must be c * (q+1)^k for a
+        nonzero integer c; any other denominator raises ArithmeticError."""
         num, den = pnorm(num), pnorm(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
+        k, c = pdeg(den), den[-1]
+        power = _qp1_power(k)
+        # the library passes (q+1)^k itself; that case builds no scaled copy
+        if den != power and den != pscale(power, c):
+            raise ArithmeticError(f"denominator {poly_str(den)} is not c*(q+1)^k")
         if not num or coef == 0:
             return RF_ZERO
-        num, den = _cancel(num, den)
+        m, num = deflate(num, -1, k)
         cn, num = _split_content(num)
-        powers = _qp1_powers(pdeg(den))
-        if den in powers:  # +-(q+1)^k: content 1, and the sign goes to coef
-            cd, den = (1 if den == powers[0] else -1), powers[0]
-        else:
-            cd, den = _split_content(den)
-        coef = coef * Fraction(cn, cd)
-        if coef == 0:
-            return RF_ZERO
-        return RatFunc(coef, num, den)
+        return RatFunc(coef * Fraction(cn, c), num, _qp1_power(k - m))
 
     @staticmethod
     def from_poly(p: IntPoly) -> "RatFunc":
@@ -329,16 +287,8 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not self or not other:
             return RF_ZERO
-        # Cross-cancel before multiplying to keep degrees small.
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return RatFunc.make(pmul(n1, n2), pmul(d1, d2), self.coef * other.coef)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        inv = RatFunc.make(other.den, other.num, 1 / other.coef)
-        return self * inv
+        return RatFunc.make(pmul(self.num, other.num), pmul(self.den, other.den),
+                            self.coef * other.coef)
 
     def eval(self, x) -> Fraction:
         """Exact value at a rational point; raises at a pole."""
@@ -349,14 +299,9 @@ class RatFunc:
         return self.coef * Fraction(peval(self.num, x)) / dv
 
     def as_int_pair(self) -> tuple:
-        """(num, den) as integer polynomials with the scalar folded in."""
-        num = pscale(self.num, self.coef.numerator)
-        den = pscale(self.den, self.coef.denominator)
-        c = gcd(pcontent(num), pcontent(den))
-        if c > 1:
-            num = tuple(x // c for x in num)
-            den = tuple(x // c for x in den)
-        return num, den
+        """(num, den) as integer polynomials with the scalar folded in.  They
+        share no integer factor: coef is reduced, and num and den primitive."""
+        return pscale(self.num, self.coef.numerator), pscale(self.den, self.coef.denominator)
 
     def __repr__(self):
         return f"RatFunc({self})"
@@ -371,7 +316,7 @@ RF_Q = RatFunc(Fraction(1), Q_POLY, ONE_POLY)
 
 
 def divisible_by_qm1(a: RatFunc, k: int) -> bool:
-    """Whether (q-1)^k divides a; the denominator must be coprime to q-1."""
+    """Whether (q-1)^k divides a."""
     return not a or qm1_order(a) >= k
 
 
@@ -379,8 +324,6 @@ def qm1_order(a: RatFunc) -> int:
     """Multiplicity of (q-1) in the numerator (a must be nonzero)."""
     if not a:
         raise ArithmeticError("zero has infinite (q-1) order")
-    if peval(a.den, 1) == 0:
-        raise ArithmeticError("denominator not coprime to q-1")
     return deflate(a.num, 1)[0]
 
 

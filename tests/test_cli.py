@@ -193,6 +193,17 @@ def test_cli_stats_and_hecke(capsys):
     assert code == 0 and out.strip() == "64/(q+1)^6"
 
 
+@pytest.mark.parametrize("w, line", [
+    ("4321", '{"w": "4321", "num": [64], "den": [1, 6, 15, 20, 15, 6, 1]}'),
+    ("1234", '{"w": "1234", "num": [1, -2, 1], "den": [1, 2, 1]}'),
+    ("2314", '{"w": "2314", "num": [-4, 16, -24, 16, -4], "den": [1, 6, 15, 20, 15, 6, 1]}'),
+])
+def test_cli_hecke_cw_json_prints_integer_num_and_den(w, line, capsys):
+    """The scalar folds into num and den, which then share no integer factor."""
+    code, out, err = run_cli(["hecke", "cw", "--n", "4", "--w", w, "--format", "json"], capsys)
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_cli_signbalance_on_the_empty_poset(tmp_path, capsys):
     f = tmp_path / "empty.poset"
     f.write_text("p=0\n")

@@ -63,6 +63,21 @@ def test_transitive_reduction():
     assert P.leq(0, 2)
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_covers_from_input_pairs_are_the_reduction_of_the_closure(data):
+    """Only the input pairs are tested for covering: on random DAGs given with
+    repeated and implied pairs, in any order, the covers are exactly those of
+    the full reduction of the closed order, each once."""
+    p = data.draw(st.integers(1, 8))
+    ids = data.draw(st.permutations(range(p)))
+    base = [(ids[s], ids[t]) for s, t in data.draw(st.lists(
+        st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=2 * p)) if s < t]
+    implied = [(s, u) for s, t in base for t2, u in base if t == t2]
+    P = poset_from_covers(p, data.draw(st.permutations(base + base[::2] + implied)))
+    assert list(P.covers) == sorted(posets._reduce(P.leq_mask, P.geq_mask))
+
+
 def test_leq_is_partial_order_on_diamond():
     P = poset_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert P.leq(0, 3) and not P.leq(1, 2) and not P.leq(2, 1)

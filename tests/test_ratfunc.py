@@ -1,5 +1,6 @@
 """Exact polynomial / rational function arithmetic."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,13 @@ from linext.ratfunc import (
     pdeg,
     pdiv_exact,
     peval,
-    pgcd,
     pmul,
     pneg,
     pnorm,
     poly_str,
     ppow,
     prem_monic,
+    pscale,
     psub,
     qm1_order,
 )
@@ -110,18 +111,34 @@ def test_make_over_powers_of_q_plus_1(a, j, k, sign, c):
         assert r.eval(x) == c * Fraction(peval(num, x)) / peval(den, x)
     assert pcontent(r.num) == pcontent(r.den) == 1
     assert r.num[-1] > 0 and r.den[-1] > 0
-    assert pgcd(r.num, r.den) == (1,)
-    # a non-primitive denominator takes the pgcd route to the same form
+    assert r.den == ppow(Q_PLUS_1, pdeg(r.den))
+    assert pdeg(r.den) == 0 or peval(r.num, -1) != 0  # coprime: (q+1) stripped
+    # a denominator c * (q+1)^k with c not a unit gives the same form
     assert RatFunc.make(pmul(num, (3,)), pmul(den, (3,)), c) == r
 
 
-@given(polys, polys)
-@settings(max_examples=60)
-def test_pgcd_divides_both(a, b):
-    g = pgcd(a, b)
-    if g:
-        pdiv_exact(a, g)
-        pdiv_exact(b, g)
+@given(polys, st.integers(0, 6), st.integers(-30, 30))
+def test_make_takes_any_nonzero_multiple_of_a_power_of_q_plus_1(a, k, c):
+    """c * (q+1)^k, for any nonzero integer c, negative and non-unit included,
+    gives the form of (q+1)^k with coef divided by c."""
+    if not a or c == 0:
+        return
+    num = pmul(a, ppow(Q_PLUS_1, k // 2))
+    r = RatFunc.make(num, pscale(ppow(Q_PLUS_1, k), c), Fraction(5, 7))
+    assert r == RatFunc.make(num, ppow(Q_PLUS_1, k), Fraction(5, 7) / c)
+
+
+@pytest.mark.parametrize("den, name", [
+    ((-1, 1), "q-1"), ((1, 2), "2*q+1"), ((1, 0, 1), "q^2+1"), ((-2, 2), "2*q-2"), ((0, 1), "q"),
+])
+def test_make_rejects_other_denominators(den, name):
+    """Q[q, 1/(q+1)] holds no other denominator: each raises in make, naming it,
+    whether or not the numerator has a factor in common with it."""
+    message = re.escape(f"denominator {name} is not c*(q+1)^k")
+    with pytest.raises(ArithmeticError, match=message):
+        RatFunc.make((1,), den)
+    with pytest.raises(ArithmeticError, match=message):
+        RatFunc.make(pmul((1, 1), den), den, Fraction(3))
 
 
 def test_cyclotomic_small():
@@ -153,9 +170,10 @@ def test_prem_monic():
 def test_ratfunc_canonical():
     half = RatFunc.make((1,), (2,))
     assert half.eval(Fraction(5)) == Fraction(1, 2)
-    # (q^2-1)/(q-1) reduces to q+1
-    r = RatFunc.make((-1, 0, 1), (-1, 1))
-    assert r == RatFunc.make((1, 1), (1,))
+    # (q^2-1)/(q+1) reduces to q-1
+    r = RatFunc.make((-1, 0, 1), (1, 1))
+    assert r == RatFunc.make((-1, 1), (1,))
+    assert (r.coef, r.num, r.den) == (1, (-1, 1), (1,))
 
 
 def test_ratfunc_field_ops():
@@ -163,8 +181,6 @@ def test_ratfunc_field_ops():
     one = RF_ONE
     expr = (q - one) * (q + one)
     assert expr == RatFunc.make((-1, 0, 1), (1,))
-    assert q / q == one
-    assert (expr / (q - one)) == q + one
     assert RF_ZERO + q == q
 
 
@@ -190,11 +206,8 @@ def test_internal_arithmetic_faults_raise_arithmetic_error():
         qm1_order(RF_ZERO)
     with pytest.raises(ArithmeticError, match="every root"):
         deflate((), 1)
-    pole = RatFunc.make((1,), (-1, 1))  # 1 / (q - 1)
-    with pytest.raises(ArithmeticError, match="not coprime"):
-        qm1_order(pole)
-    with pytest.raises(ArithmeticError, match="not coprime"):
-        divisible_by_qm1(pole, 1)
+    with pytest.raises(ArithmeticError, match="denominator q-1 is not"):
+        RatFunc.make((1,), (-1, 1))  # the pole 1 / (q - 1)
 
 
 def test_poly_str_and_factored_format():
@@ -219,13 +232,6 @@ def fraction_divmod(a, b) -> tuple:
     return pnorm(quo), pnorm(rem)
 
 
-def fraction_gcd(a, b) -> tuple:
-    """The monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
-    while b:
-        a, b = b, fraction_divmod(a, b)[1]
-    return tuple(Fraction(x) / a[-1] for x in a)
-
-
 @given(polys, polys, polys)
 @settings(max_examples=300)
 def test_long_division_matches_fraction_long_division(a, b, r):
@@ -248,15 +254,3 @@ def test_long_division_matches_fraction_long_division(a, b, r):
                 for divide in (pdiv_exact, prem_monic):
                     with pytest.raises(InexactDivision, match="quotient not integral"):
                         divide(num, divisor)
-
-
-@given(polys, polys, polys)
-@settings(max_examples=200)
-def test_pgcd_matches_fraction_euclid(a, b, c):
-    for x, y in ((a, b), (pmul(a, c), pmul(b, c))):
-        g = pgcd(x, y)
-        if not (x or y):
-            assert g == ()
-            continue
-        assert pcontent(g) == 1 and g[-1] > 0
-        assert tuple(Fraction(v) / g[-1] for v in g) == fraction_gcd(x, y)

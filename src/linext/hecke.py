@@ -3,13 +3,16 @@
 Permutations are 1-based one-line tuples, matching table keys like 2413.
 The evacuation element E_1...E_{n-1} E_1...E_{n-2} ... E_1 is expanded with
 integer-polynomial coefficients (every generator product is denominator-free)
-and the global (q+1)^C(n,2) denominator is divided out at the end.
+and the global (q+1)^C(n,2) denominator is divided out at the end.  While
+expanding, each coefficient is one Python int, the polynomial's value at
+q = 2^B (Kronecker substitution), so a letter costs shifts and adds; the
+polynomials are read back off their signed base-2^B digits once, at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, zip_longest
+from itertools import permutations
 
 from .posets import CapExceeded
 from .promotion import gamma_word
@@ -20,6 +23,7 @@ from .ratfunc import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
+    IntPoly,
     RatFunc,
     pnorm,
     ppow,
@@ -185,39 +189,61 @@ def e_i(n: int, i: int) -> HeckeElt:
     return HeckeElt.unit(n).mul_e_right(i)
 
 
+def _pack_width(n: int) -> int:
+    """B = 2 C(n,2) + 2, the digit width in bits of the packed expansion."""
+    return n * (n - 1) + 2
+
+
+def _unpack(x: int, width: int) -> IntPoly:
+    """The polynomial p with p(2^width) = x and every coefficient in
+    [-2^(width-1), 2^(width-1)): x's signed base-2^width digits, ascending."""
+    mask, half, digits = (1 << width) - 1, 1 << (width - 1), []
+    while x:
+        d = x & mask
+        x >>= width
+        if d >= half:  # a negative digit borrowed 1 from the next one
+            d -= mask + 1
+            x += 1
+        digits.append(d)
+    return tuple(digits)
+
+
 def _expand_numerators(n: int) -> dict:
     """Expand prod (q - 1 - 2 T_i) over the evacuation word gamma of w0.
 
     Returns {w: IntPoly}; dividing each entry by (q+1)^C(n,2) gives c_w(q).
-    Coefficients are ascending int lists while expanding; (q - 1) c is c
-    shifted up one degree minus c.
+    Zero entries are kept where terms cancel at the last letter.
+
+    While expanding, each coefficient c is held as the int c(2^B), for
+    B = _pack_width(n): (q - 1) c is (c << B) - c, 2c is c << 1 and 2q c is
+    c << (B + 1), exact since evaluation at 2^B is a ring map.  Decoding by
+    _unpack is exact too.  A factor sends a term c T_u to at most two terms,
+    +-(q - 1) c and -2c or -2q c, each of L1 norm at most 2 |c|_1, so the L1
+    norm summed over all terms grows at most 4x per letter.  It starts at 1,
+    so after the C(n,2) letters of gamma every integer coefficient is at most
+    2^(2 C(n,2)) < 2^(B-1) in absolute value, inside _unpack's digit range.
     """
-    terms = {identity_perm(n): [1]}
+    width = _pack_width(n)
+    terms = {identity_perm(n): 1}
     for i in gamma_word(n):
         out = {}
-
-        def acc(w, poly):
-            cur = out.get(w)
-            if cur is not None:
-                poly = [a + b for a, b in zip_longest(cur, poly, fillvalue=0)]
-            out[w] = poly
-
+        get = out.get
         for u, c in terms.items():
-            if not any(c):
+            if not c:
                 continue
-            qm1 = [b - a for a, b in zip(c + [0], [0] + c)]
+            qm1 = (c << width) - c
             v = apply_s_right(u, i)
             if has_right_ascent(u, i):
                 # T_u (q - 1 - 2 T_i) = (q - 1) T_u - 2 T_{u s_i}
-                acc(u, qm1)
-                acc(v, [-2 * x for x in c])
+                out[u] = get(u, 0) + qm1
+                out[v] = get(v, 0) - (c << 1)
             else:
                 # T_u T_i = q T_{u s_i} + (q - 1) T_u, so the factor gives
                 # -(q - 1) T_u - 2q T_{u s_i}
-                acc(u, [-x for x in qm1])
-                acc(v, [0] + [-2 * x for x in c])
+                out[u] = get(u, 0) - qm1
+                out[v] = get(v, 0) - (c << (width + 1))
         terms = out
-    return {w: pnorm(c) for w, c in terms.items()}
+    return {w: _unpack(c, width) for w, c in terms.items()}
 
 
 @lru_cache(maxsize=None)

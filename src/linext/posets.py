@@ -248,7 +248,8 @@ class ExtensionSpace:
     """The maximal paths of p letters from `root` of a graded DAG, kids[x]
     the (letter, child) pairs of x by ascending letter and the nodes by depth:
     `words` (head + letters, in lex order), and on first use rows tau[i]
-    (1 <= i < p), tau[i][k] the index of tau_i(words[k]), and `operators`."""
+    (1 <= i < p), tau[i][k] the index of tau_i(words[k]), and `operators`.
+    Only `tau` reads `kids`, so the graph is released once the rows are built."""
 
     def __init__(self, p: int, root, kids: dict, head: tuple = ()):
         self.p, self.root, self.kids = p, root, kids
@@ -282,6 +283,7 @@ class ExtensionSpace:
             for a, b, n in blocks.get(x, ()):
                 a, b, row = a + s, b + s, rows[len(offsets) + 1]
                 row[a:a + n], row[b:b + n] = ident[b:b + n], ident[a:a + n]
+        del self.kids
         return rows
 
     @cached_property

@@ -12,8 +12,10 @@ Every Hecke coefficient lies in the ring Q[q, 1/(q+1)], since
 E_i = (q - 1 - 2 T_i) / (q + 1), so a `RatFunc` is coef * num / (q+1)^k.
 `RatFunc.make` accepts a denominator c * (q+1)^k only, and reduces by
 stripping (q+1) from the numerator; any other denominator is an internal
-fault and raises ArithmeticError.  `Fraction` appears only in the scalar
-factor and in evaluation.
+fault and raises ArithmeticError.  A sum is taken over the larger of its
+operands' two powers of (q+1), the other numerator lifted to it, so only
+the factors that the sum itself gains are stripped.  `Fraction` appears
+only in the scalar factor and in evaluation.
 """
 
 from __future__ import annotations
@@ -92,10 +94,7 @@ def peval(a: IntPoly, x):
 
 
 def pcontent(a: IntPoly) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
+    return gcd(*a)
 
 
 def _split_content(a: IntPoly) -> tuple:
@@ -241,7 +240,8 @@ class RatFunc:
             return RF_ZERO
         m, num = deflate(num, -1, k)
         cn, num = _split_content(num)
-        return RatFunc(coef * Fraction(cn, c), num, _qp1_power(k - m))
+        coef = Fraction(coef.numerator * cn, coef.denominator * c)
+        return RatFunc(coef, num, _qp1_power(k - m))
 
     @staticmethod
     def from_poly(p: IntPoly) -> "RatFunc":
@@ -268,18 +268,22 @@ class RatFunc:
         return RatFunc(-self.coef, self.num, self.den)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """The sum over the larger of the two (q+1) powers, so `make` strips
+        only the (q+1) factors that the sum of the numerators gains."""
         if not self:
             return other
         if not other:
             return self
         an, ad = self.coef.numerator, self.coef.denominator
         bn, bd = other.coef.numerator, other.coef.denominator
-        num = padd(
-            pscale(pmul(self.num, other.den), an * bd),
-            pscale(pmul(other.num, self.den), bn * ad),
-        )
-        den = pmul(self.den, other.den)
-        return RatFunc.make(num, den, Fraction(1, ad * bd))
+        x, y = pscale(self.num, an * bd), pscale(other.num, bn * ad)
+        # over (q+1)^max(a, b): only the smaller power's numerator is lifted
+        gap, den = len(self.den) - len(other.den), self.den
+        if gap < 0:
+            x, den = pmul(x, _qp1_power(-gap)), other.den
+        elif gap:
+            y = pmul(y, _qp1_power(gap))
+        return RatFunc.make(padd(x, y), den, Fraction(1, ad * bd))
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)

@@ -1,5 +1,6 @@
 """The generic-parameter Hecke algebra and the evacuation-element expansion."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from linext.hecke import (
     DEFAULT_HECKE_CAP,
     HeckeElt,
+    _coefficients,
     _expand_numerators,
+    _pack_width,
+    _unpack,
     c_w,
     check_thm_cid,
     cid_closed_form,
@@ -26,7 +30,7 @@ from linext.hecke import (
 )
 from linext.posets import CapExceeded
 from linext.promotion import gamma_word
-from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, ppow, qm1_order
+from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, peval, pnorm, ppow, qm1_order
 
 S4 = list(permutations((1, 2, 3, 4)))
 
@@ -191,3 +195,49 @@ def test_expand_numerators_match_the_generic_algebra(n):
         elt = elt.scale(qm1) - elt.mul_gen_right(i).scale(two)
     got = {w: RatFunc.from_poly(c) for w, c in _expand_numerators(n).items() if c}
     assert got == elt.terms
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@given(data=st.data())
+def test_packing_round_trips(n, data):
+    """Decoding p(2^B) gives back p for every integer polynomial p whose
+    coefficients lie below 2^(B-1) in absolute value."""
+    width = _pack_width(n)
+    top = (1 << (width - 1)) - 1
+    coeffs = st.integers(-top, top)
+    drawn = data.draw(st.lists(coeffs, max_size=n * (n - 1) // 2 + 2).map(pnorm))
+    edges = [(), (top,), (-top,), (0, 0, -1), (-top, 0, top), (top, -1), (-1,) * 4, (1, -top)]
+    for poly in [drawn] + edges:
+        assert _unpack(peval(poly, 1 << width), width) == poly
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+# SHA-256 prefixes of repr([(w, c.coef, c.num, c.den) ...]) over _coefficients(n)
+# and of repr(divisibility_report(n)), as the earlier list-based expansion gave them
+EXPANSION_DIGESTS = {
+    1: ("a435a583accca7c7", "53bcc7fb9f14ce51"),
+    2: ("fa1a2201ed73d05a", "51591cbd07ebb105"),
+    3: ("523a69d81f15d762", "df7c19cb4babb546"),
+    4: ("4695108892efe397", "638ed4e81b7b285c"),
+    5: ("16f8979f4f374540", "811c9bebeb0d654c"),
+    6: ("cf65388c6d2fc779", "f1275883e1a1e9ae"),
+    7: ("da8a0019b9d50900", "4ad2a5ff04f05ba8"),
+}
+
+
+def test_expansion_is_pinned_by_digest():
+    for n, pinned in EXPANSION_DIGESTS.items():
+        coeffs = [(w, c.coef, c.num, c.den) for w, c in _coefficients(n).items()]
+        assert (_digest(coeffs), _digest(divisibility_report(n))) == pinned, n
+    e5 = evacuation_element(5)
+    assert scalar_product(e5, e5) == RF_ONE
+    by_q = by_sign = RF_ZERO
+    for w, c in e5.terms.items():
+        ell = perm_length(w)
+        by_q = by_q + c * RatFunc.from_poly((0,) * ell + (1,))
+        by_sign = by_sign + (c if ell % 2 == 0 else -c)
+    # sum c_w q^l(w) = (-1)^C(5,2) and sum c_w (-1)^l(w) = 1
+    assert by_q == by_sign == RF_ONE

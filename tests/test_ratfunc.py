@@ -184,6 +184,45 @@ def test_ratfunc_field_ops():
     assert RF_ZERO + q == q
 
 
+def _operand(a, j, k, c, negate) -> RatFunc:
+    r = RatFunc.make(pmul(a, ppow(Q_PLUS_1, j)), ppow(Q_PLUS_1, k), c)
+    return -r if negate else r
+
+
+# c * a * (q+1)^j / (q+1)^k, so sums meet every gap between the powers,
+# shared (q+1) factors and cancellation; zero and negated operands included
+ratfuncs = st.one_of(st.just(RF_ZERO), st.builds(
+    _operand, polys, st.integers(0, 3), st.integers(0, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), st.booleans(),
+))
+
+
+def cross_multiplied_sum(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b over the product of the two denominators."""
+    if not a or not b:
+        return b if not a else a
+    an, ad = a.coef.numerator, a.coef.denominator
+    bn, bd = b.coef.numerator, b.coef.denominator
+    num = padd(pscale(pmul(a.num, b.den), an * bd), pscale(pmul(b.num, a.den), bn * ad))
+    return RatFunc.make(num, pmul(a.den, b.den), Fraction(1, ad * bd))
+
+
+@given(ratfuncs, ratfuncs)
+@settings(max_examples=300)
+def test_add_over_the_larger_power_of_q_plus_1(a, b):
+    s = a + b
+    assert s == cross_multiplied_sum(a, b)
+    if s:
+        assert pcontent(s.num) == 1 and s.num[-1] > 0
+        assert s.den == ppow(Q_PLUS_1, pdeg(s.den))
+        assert pdeg(s.den) == 0 or peval(s.num, -1) != 0
+    else:
+        assert (s.coef, s.num, s.den) == (0, (1,), (1,))
+    for x in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
+        assert s.eval(x) == a.eval(x) + b.eval(x)
+    assert a + (-a) == RF_ZERO
+
+
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 5))
 def test_ratfunc_eval_matches_fraction_arithmetic(a, b, c):
     r = RatFunc.make((a, b), (c,))

@@ -5,7 +5,7 @@ import argparse
 import sys
 import time
 
-from linext.verify import SUITES, run_suite
+from linext.verify import SUITES
 
 
 def main() -> int:
@@ -22,7 +22,7 @@ def main() -> int:
     any_fail = False
     for sid in ids:
         t0 = time.perf_counter()
-        results = run_suite(sid)
+        results = SUITES[sid]()
         dt = time.perf_counter() - t0
         bad = [r for r in results if not r.passed]
         status = "pass" if not bad else f"FAIL ({len(bad)}/{len(results)})"

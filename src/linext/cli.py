@@ -277,7 +277,7 @@ def cmd_flags(args):
 
 
 def cmd_verify(args):
-    results = verify.run_suite(args.id)
+    results = verify.SUITES[args.id]()
     return _emit_checks(results, args.format)
 
 

@@ -68,11 +68,6 @@ def _walk(n: int, q: int) -> tuple:
     return subs, covers
 
 
-def all_subspaces(n: int, q: int) -> list:
-    """Every subspace of F_q^n, sorted by (dimension, sorted vector list)."""
-    return _walk(n, q)[0]
-
-
 def subspace_dim(s: frozenset, q: int) -> int:
     d = 0
     size = len(s)

@@ -25,6 +25,7 @@ from .ratfunc import (
     RF_ZERO,
     IntPoly,
     RatFunc,
+    _qp1_power,
     pnorm,
     ppow,
     qm1_order,
@@ -249,7 +250,7 @@ def _expand_numerators(n: int) -> dict:
 @lru_cache(maxsize=None)
 def _coefficients(n: int) -> dict:
     """{w: c_w(q)} in canonical form, expanded and reduced once per n."""
-    den = ppow(Q_PLUS_1, n * (n - 1) // 2)
+    den = _qp1_power(n * (n - 1) // 2)
     return {w: RatFunc.make(poly, den) for w, poly in _expand_numerators(n).items()}
 
 
@@ -267,8 +268,8 @@ def evacuation_element(n: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeElt:
     return HeckeElt(n, _coefficients(n))
 
 
-def c_w(n: int, w: Perm, cap: int = DEFAULT_HECKE_CAP) -> RatFunc:
-    _check_n(n, cap)
+def c_w(n: int, w: Perm) -> RatFunc:
+    _check_n(n, DEFAULT_HECKE_CAP)
     return _coefficients(n).get(tuple(w), RF_ZERO)
 
 
@@ -287,7 +288,7 @@ def scalar_product(g: HeckeElt, h: HeckeElt) -> RatFunc:
 def cid_closed_form(n: int) -> RatFunc:
     """((q-1)/(q+1))^floor(n/2)."""
     k = n // 2
-    return RatFunc.make(ppow(Q_MINUS_1, k), ppow(Q_PLUS_1, k))
+    return RatFunc.make(ppow(Q_MINUS_1, k), _qp1_power(k))
 
 
 def check_thm_cid(n: int, cap: int = DEFAULT_HECKE_CAP) -> bool:

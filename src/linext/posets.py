@@ -34,7 +34,7 @@ from typing import Iterator
 
 Word = tuple  # tuple[int, ...], a linear extension as a word
 
-DEFAULT_IDEAL_CAP = 2 ** 20
+DEFAULT_IDEAL_CAP = 2 ** 20  # the one cap on |J(P)|, read by every walk of J(P) when it runs
 DEFAULT_EXTENSION_CAP = 200_000
 
 
@@ -193,14 +193,14 @@ def _addable(down_sets, mask: int) -> list:
     return [bit for bit, geq, below in down_sets if mask & geq == below]
 
 
-def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
+def _ideal_layers(P: Poset, message: str) -> Iterator[dict]:
     """Walk J(P) upward from the empty ideal, one size at a time.
 
     Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
     holding two layers at a time.  The next layer is built by one pass per
     element t over the whole layer, which pushes the path count of every
     ideal that gains t; CapExceeded(message) is raised after the first pass
-    that brings the number of ideals found past `cap`.
+    that brings the number of ideals found past DEFAULT_IDEAL_CAP.
     """
     down_sets = _down_sets(P, range(P.p))
     layer = {0: 1}
@@ -213,7 +213,7 @@ def _ideal_layers(P: Poset, cap: int, message: str) -> Iterator[dict]:
             for mask, paths in layer.items():
                 if mask & geq == below:
                     nxt[mask | bit] = get(mask | bit, 0) + paths
-            if found + len(nxt) > cap:
+            if found + len(nxt) > DEFAULT_IDEAL_CAP:
                 raise CapExceeded(message)
         found += len(nxt)
         layer = nxt
@@ -325,13 +325,13 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     if space is None:
         down_sets, kids = _down_sets(P, range(P.p)), {}
         try:
-            for layer in _ideal_layers(P, DEFAULT_IDEAL_CAP, ""):
+            for layer in _ideal_layers(P, ""):
                 if sum(layer.values()) > cap:  # a lower bound on e(P), see count_extensions
                     raise CapExceeded
                 for mask in layer:  # kids[I]: (t, I + t) per t addable to I
                     kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
         except CapExceeded:  # of e(P) or of the ideals, which count_extensions names
-            n = count_extensions(P, DEFAULT_IDEAL_CAP, cap)
+            n = count_extensions(P, extension_cap=cap)
             raise CapExceeded(f"e(P) = {n} exceeds cap {cap}") from None
         space = _SPACES[P] = ExtensionSpace(P.p, 0, kids)
         if len(_SPACES) > SPACE_CACHE_SIZE:
@@ -341,18 +341,18 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     return space
 
 
-def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP, extension_cap: int = None) -> int:
+def count_extensions(P: Poset, extension_cap: int = None) -> int:
     """e(P), the number of paths from the empty ideal to P in J(P).
 
     Reads the layered walk of J(P) that `ideals` reads; raises CapExceeded
-    once more than `cap` ideals are found.  The path sum of a complete layer
-    is a lower bound on e(P), as sum over |I| = k of e(I) e(P - I) is e(P):
-    when that of the last one exceeds `extension_cap`, the e(P) message is
-    raised instead.
+    once more than DEFAULT_IDEAL_CAP ideals are found.  The path sum of a
+    complete layer is a lower bound on e(P), as sum over |I| = k of
+    e(I) e(P - I) is e(P): when that of the last one exceeds `extension_cap`,
+    the e(P) message is raised instead.
     """
-    cap_message = f"e(P) of a {P.p}-element poset needs more than {cap} order ideals"
+    cap_message = f"e(P) of a {P.p}-element poset needs more than {DEFAULT_IDEAL_CAP} order ideals"
     try:
-        for layer in _ideal_layers(P, cap, cap_message):
+        for layer in _ideal_layers(P, cap_message):
             pass
     except CapExceeded:
         bound = sum(layer.values())
@@ -362,14 +362,14 @@ def count_extensions(P: Poset, cap: int = DEFAULT_IDEAL_CAP, extension_cap: int 
     return layer[(1 << P.p) - 1]
 
 
-def ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list:
+def ideals(P: Poset) -> list:
     """All order ideals as bitmasks, sorted by (size, lowest-id members).
 
     Reads the layered walk of J(P) that `count_extensions` reads.
     """
     fmt = f"0{P.p}b"
     out = []
-    for layer in _ideal_layers(P, cap, f"more than {cap} order ideals"):
+    for layer in _ideal_layers(P, f"more than {DEFAULT_IDEAL_CAP} order ideals"):
         # Among masks of one size, lex order of the member tuples puts first
         # the mask holding the lowest bit where two differ: the larger one
         # when the bits are read in reverse.
@@ -385,14 +385,14 @@ def _mask_members(mask: int) -> tuple:
     return tuple(out)
 
 
-def ideals_lattice(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
+def ideals_lattice(P: Poset):
     """J(P) ordered by inclusion.
 
     Returns (lattice, members) where members[i] is the frozenset of P-elements
     of the ideal with lattice id i.  Cover pairs are (I, I + {t}) with t
     minimal in the complement of I; they are exact, so no reduction runs.
     """
-    masks = ideals(P, cap=cap)
+    masks = ideals(P)
     index = {m: i for i, m in enumerate(masks)}
     down_sets = _down_sets(P, range(P.p))
     covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(down_sets, m)]

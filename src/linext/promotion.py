@@ -217,13 +217,13 @@ class OrbitReport:
     size: int  # e(P)
 
 
-def extension_permutation(P: Poset, op, cap: int = DEFAULT_EXTENSION_CAP) -> dict:
+def extension_permutation(P: Poset, op) -> dict:
     """The permutation {word: op(word)} of L(P), for op promote, evacuate or
     dual_evacuate, read off the ExtensionSpace of P; raises CapExceeded when
-    e(P) > cap."""
+    e(P) > DEFAULT_EXTENSION_CAP."""
     if op not in (promote, evacuate, dual_evacuate):
         raise ValueError(f"unknown operator {op!r}")
-    space = extension_space(P, cap)
+    space = extension_space(P)
     return {w: space.words[j] for w, j in zip(space.words, space.operators[op.__name__])}
 
 

@@ -291,8 +291,8 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not self or not other:
             return RF_ZERO
-        return RatFunc.make(pmul(self.num, other.num), pmul(self.den, other.den),
-                            self.coef * other.coef)
+        return RatFunc.make(pmul(self.num, other.num),
+                            _qp1_power(len(self.den) + len(other.den) - 2), self.coef * other.coef)
 
     def eval(self, x) -> Fraction:
         """Exact value at a rational point; raises at a pole."""
@@ -317,11 +317,6 @@ class RatFunc:
 RF_ZERO = RatFunc(Fraction(0), ONE_POLY, ONE_POLY)
 RF_ONE = RatFunc(Fraction(1), ONE_POLY, ONE_POLY)
 RF_Q = RatFunc(Fraction(1), Q_POLY, ONE_POLY)
-
-
-def divisible_by_qm1(a: RatFunc, k: int) -> bool:
-    """Whether (q-1)^k divides a."""
-    return not a or qm1_order(a) >= k
 
 
 def qm1_order(a: RatFunc) -> int:

@@ -104,16 +104,6 @@ def F_poly(s: Shape, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
     return f_poly_sum(s, cap=cap)
 
 
-def _fixed(lengths: tuple, d: int) -> int:
-    """e_d = #{f : f = f promote^d}: the points on cycles whose length divides d."""
-    return sum(n for n in lengths if d % n == 0)
-
-
-def fixed_count(P: Poset, d: int, cap: int = DEFAULT_EXTENSION_CAP) -> int:
-    """e_d(P) = #{f : f = f promote^d}, via the orbit census."""
-    return _fixed(orbit_structure(P, "promote", cap=cap).cycle_lengths, d)
-
-
 def eval_at_root(F: IntPoly, p: int, d: int) -> int:
     """Exact F(zeta^d) with zeta = e^{2 pi i / p}.
 
@@ -177,10 +167,11 @@ def cyclic_sieving_check(m: int, n: int, cap: int = DEFAULT_EXTENSION_CAP) -> li
 
 
 def fixed_point_table(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
-    """(d, e_d) for d = 1..p; for shapes without a known closed form this is
-    exploratory output only."""
+    """(d, e_d) for d = 1..p, e_d = #{f : f = f promote^d} the points on the
+    promotion cycles whose length divides d; for shapes without a known
+    closed form this is exploratory output only."""
     lengths = orbit_structure(P, "promote", cap=cap).cycle_lengths
-    return [(d, _fixed(lengths, d)) for d in range(1, P.p + 1)]
+    return [(d, sum(n for n in lengths if d % n == 0)) for d in range(1, P.p + 1)]
 
 
 def _transpose_map(s: Shape):

@@ -1,6 +1,5 @@
 """File formats and the command-line surface."""
 
-import functools
 import json
 import os
 import subprocess
@@ -157,8 +156,7 @@ def test_cli_slender_reads_corpus_names_and_files(capsys):
 
 def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     # a small cap in place of the default keeps the test fast
-    capped = functools.partial(posets.count_extensions, cap=1000)
-    monkeypatch.setattr("linext.cli.count_extensions", capped)
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)
     f = tmp_path / "antichain40.poset"
     f.write_text("p=40\n")  # 2^40 ideals
     code, out, err = run_cli(["count", "--poset", str(f)], capsys)

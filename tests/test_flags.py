@@ -8,7 +8,6 @@ import pytest
 from linext.chains import maximal_chains
 from linext.flags import (
     SIZE_CAPS,
-    all_subspaces,
     bruhat_cell,
     hecke_consistency,
     span,
@@ -28,7 +27,7 @@ def gaussian(n, k, q):
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_subspace_counts(n, q):
-    subs = all_subspaces(n, q)
+    subs = subspace_lattice(n, q).subspaces
     by_dim = {}
     for s in subs:
         by_dim.setdefault(subspace_dim(s, q), 0)
@@ -63,7 +62,7 @@ def test_span_of_standard_vectors():
     rng = random.Random(11)
     for q, top in SIZE_CAPS.items():
         for n in range(1, top + 1):
-            subs = all_subspaces(n, q)
+            subs = subspace_lattice(n, q).subspaces
             for _ in range(300):
                 vectors = [tuple(rng.randrange(q) for _ in range(n))
                            for _ in range(rng.randrange(n + 2))]

@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is read in that module, and
-every private top-level name of a module is read somewhere in the package."""
+"""Every name a module of the package imports is read in that module, every
+private top-level name of a module is read somewhere in the package, and every
+defaulted parameter is passed by some call in the program."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "linext"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "linext"
 
 
 def _unread_imports(source: str) -> list:
@@ -66,3 +68,73 @@ def test_every_private_top_level_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sum(len(_private_top_level_names(ast.parse(s))) for s in sources.values()) > 40
     assert _unread_private_names(sources) == []
+
+
+# (module, function, parameter) that no call in the program passes, and why it stays
+UNPASSED_DEFAULTS = {
+    ("cli.py", "main", "argv"): "only tests pass argv; the console script reads sys.argv",
+    ("stats.py", "w_poly", "cap"): "no other public route reaches W_P",
+}
+
+
+def _defaulted_parameters(tree) -> list:
+    """(name called, position or None, parameter) per defaulted parameter.
+    Positions skip a method's self unless it is a staticmethod, __init__ is
+    called by its class's name, and keyword-only parameters have None."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args]
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if cls and not static:
+                    names = names[1:]
+                call = cls if node.name == "__init__" else node.name
+                first = len(names) - len(a.defaults)
+                out.extend((call, i, x) for i, x in enumerate(names) if i >= first)
+                out.extend((call, None, x.arg)
+                           for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return out
+
+
+def _unpassed_defaults(package: dict, program: list) -> list:
+    """(module, name called, parameter) for each defaulted parameter of a
+    function in `package` that no call in the `program` sources passes, by
+    position or by keyword; calls are matched by the name called."""
+    calls = {}
+    for source in program:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+    return sorted(
+        (module, call, param)
+        for module, source in package.items()
+        for call, i, param in _defaulted_parameters(ast.parse(source))
+        if not any((i is not None and i < n) or param in kw for n, kw in calls.get(call, ()))
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    toy = {"a.py": (
+        "def f(a, b=1, *, c=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(y=1): pass\n"
+        "    def m(self, z=1): pass\n"
+    )}
+    calls = ["f(0, 1)\nK(x=1)\nK.s(0)\nK().m()\n"]
+    assert _unpassed_defaults(toy, calls) == [("a.py", "f", "c"), ("a.py", "m", "z")]
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    program = [path.read_text() for top in ("src", "scripts", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert sum(len(_defaulted_parameters(ast.parse(s))) for s in package.values()) > 20
+    assert _unpassed_defaults(package, program) == sorted(UNPASSED_DEFAULTS)

@@ -132,10 +132,12 @@ def test_shuffled_disjoint_chains_count_and_ideals():
     assert len(ideals(P)) == 2 ** 4 * 4 ** 2
 
 
-def test_count_extensions_cap():
+def test_count_extensions_cap(monkeypatch):
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 100)
     with pytest.raises(CapExceeded, match="12-element poset .* 100 order ideals"):
-        count_extensions(antichain(12), cap=100)
-    assert count_extensions(antichain(4), cap=16) == 24  # 16 ideals
+        count_extensions(antichain(12))
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 16)
+    assert count_extensions(antichain(4)) == 24  # 16 ideals
 
 
 def test_ideal_lattice_of_antichain_is_boolean():

@@ -1,9 +1,12 @@
 """Operator identities by property over random posets, not only the corpus."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linext import posets
 from linext.chains import (
     dual_domino_chains,
     dual_evacuate_chain,
@@ -201,7 +204,7 @@ def test_cached_space_still_checks_the_cap(P):
     assert extension_space(P, cap=e) is space
     message = f"e\\(P\\) = {e} exceeds cap {e - 1}"
     for call in (
-        lambda: extension_permutation(P, promote, cap=e - 1),
+        lambda: extension_space(P, cap=e - 1),
         lambda: orbit_structure(P, "promote_p", cap=e - 1),
         lambda: dihedral_order(P, cap=e - 1),
     ):
@@ -287,19 +290,24 @@ def test_ideal_lattice_covers_add_one_minimal_element(P):
 @given(dag_posets())
 @settings(max_examples=100, deadline=None)
 def test_ideal_cap_admits_exactly_the_ideal_count(P):
+    # patch.object, not monkeypatch: a function-scoped fixture trips Hypothesis
     n = len(brute_force_ideals(P))
-    assert len(ideals(P, cap=n)) == n
-    assert count_extensions(P, cap=n) == count_extensions(P)
-    with pytest.raises(CapExceeded, match=f"more than {n - 1} order ideals"):
-        ideals(P, cap=n - 1)
-    with pytest.raises(CapExceeded, match=f"needs more than {n - 1} order ideals"):
-        count_extensions(P, cap=n - 1)
+    e = count_extensions(P)
+    with patch.object(posets, "DEFAULT_IDEAL_CAP", n):
+        assert len(ideals(P)) == len(ideals_lattice(P)[1]) == n
+        assert count_extensions(P) == e
+    with patch.object(posets, "DEFAULT_IDEAL_CAP", n - 1):
+        for call in (ideals, ideals_lattice):
+            with pytest.raises(CapExceeded, match=f"^more than {n - 1} order ideals$"):
+                call(P)
+        with pytest.raises(CapExceeded, match=f"needs more than {n - 1} order ideals"):
+            count_extensions(P)
 
 
 @given(dag_posets())
 @settings(max_examples=100, deadline=None)
 def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P):
-    for size, layer in enumerate(_ideal_layers(P, 1 << P.p, "unreachable")):
+    for size, layer in enumerate(_ideal_layers(P, "unreachable")):
         for mask, paths in layer.items():
             S = members_of(mask)
             assert len(S) == size

@@ -6,15 +6,21 @@ import sys
 
 import pytest
 
-from linext.verify import SUITES, run_suite
+from linext.verify import SUITES, verify_eq7
 
 
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
 def test_suite_passes(suite_id):
-    results = run_suite(suite_id)
+    results = SUITES[suite_id]()
     assert results, suite_id
     failures = [(r.name, r.detail) for r in results if not r.passed]
     assert failures == []
+
+
+def test_eq7_checks_distant_commutation():
+    """B_4 has height 4, so tau_1 and tau_3 commute on each of its 24 maximal chains."""
+    detail = next(r.detail for r in verify_eq7() if r.name == "B_4: tau_i^2 = 1 and commutation")
+    assert int(detail.split()[0]) > 0
 
 
 def test_run_verifications_rejects_unknown_suite_ids():

@@ -18,10 +18,10 @@ builds each layer by one pass per element over the whole layer before it.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
-chains of a slender poset.  It fills its tau_i rows by swapping equal blocks
-of paths, and grows promote, evacuate and dual_evacuate from them along
-Stanley's runs delta_m = tau_1 ... tau_m.  One iterative lex walk
-(`_lex_walk`) reads its paths, maximal chains and dual domino tableaux.
+chains of a slender poset, read by one iterative walk that yields leaves alone
+(`_lex_walk`, which also reads maximal chains and dual domino tableaux).  Its
+tau_i rows swap equal blocks of paths, found one depth at a time, and promote,
+evacuate and dual_evacuate grow from them along Stanley's runs tau_1 ... tau_m.
 """
 
 from __future__ import annotations
@@ -221,17 +221,20 @@ def _ideal_layers(P: Poset, message: str) -> Iterator[dict]:
 
 def _lex_walk(root, kids, head: tuple = ()) -> Iterator[tuple]:
     """Depth first from `root` over kids(x), the (letter, child) pairs of x in
-    lex order, on a stack of iterators: yields (path, x) at each node x, path
-    being the one list of head and the letters to x, changed as it goes on."""
-    path = list(head)
-    yield path, root
-    stack = [iter(kids(root))]
+    lex order, on a stack of iterators: yields (path, x) at each leaf x, path
+    the tuple of head and the letters to x; a root with no kids is a leaf."""
+    top = kids(root)
+    if not top:
+        yield tuple(head), root
+    path, stack = list(head), [iter(top)]
     while stack:
         for letter, x in stack[-1]:
-            path.append(letter)
-            yield path, x
-            stack.append(iter(kids(x)))
-            break
+            below = kids(x)
+            if below:
+                path.append(letter)
+                stack.append(iter(below))
+                break
+            yield (*path, letter), x
         else:
             stack.pop()
             if stack:
@@ -253,14 +256,14 @@ class ExtensionSpace:
 
     def __init__(self, p: int, root, kids: dict, head: tuple = ()):
         self.p, self.root, self.kids = p, root, kids
-        self.words = tuple(tuple(path) for path, x in _lex_walk(root, kids.__getitem__, head)
-                           if not kids[x])
+        self.words = tuple(path for path, _ in _lex_walk(root, kids.__getitem__, head))
 
     @cached_property
     def tau(self) -> list:
         """Row i swaps the count[z] words through x -> y -> z with those through x -> y' -> z
         (x at depth i - 1, children y < y' of x): blocks[x] lists their offsets past x's
-        first word and count[z], and live[x] the (offset, child) pairs that lead to blocks."""
+        first word and count[z], and live[x] the (offset, child) pairs that lead to blocks.
+        The live nodes are walked one depth at a time, so row i is filled at depth i - 1."""
         kids, count, blocks, live = self.kids, {}, {}, {}
         for x in reversed(kids):
             first, alive, off = {}, [], 0
@@ -278,11 +281,17 @@ class ExtensionSpace:
             count[x], live[x] = off or 1, alive
         ident = array("i", range(len(self.words)))
         rows = [None] + [ident[:] for _ in range(1, self.p)]
-        for offsets, x in _lex_walk(self.root, live.__getitem__):
-            s = sum(offsets)  # x's first word is words[s]
-            for a, b, n in blocks.get(x, ()):
-                a, b, row = a + s, b + s, rows[len(offsets) + 1]
-                row[a:a + n], row[b:b + n] = ident[b:b + n], ident[a:a + n]
+        level = {self.root: [0]}  # live x at depth i - 1: the index of its first word per path
+        for row in rows[1:]:
+            nxt = {}
+            for x, starts in level.items():
+                for a, b, n in blocks.get(x, ()):
+                    for s in starts:
+                        lo, hi = a + s, b + s
+                        row[lo:lo + n], row[hi:hi + n] = ident[hi:hi + n], ident[lo:lo + n]
+                for off, y in live[x]:
+                    nxt.setdefault(y, []).extend([s + off for s in starts])
+            level = nxt
         del self.kids
         return rows
 
@@ -304,8 +313,8 @@ class ExtensionSpace:
         D_{m-1} and D_m before G_{m-1})."""
         d = g = range(len(self.words))
         for t in rows:
-            d = list(map(t.__getitem__, d))
-            g = list(map(g.__getitem__, d))
+            d = [t[k] for k in d]
+            g = [g[k] for k in d]
         return array("i", d), array("i", g)
 
     def fixed_points(self, name: str) -> list:
@@ -463,8 +472,7 @@ def conjugate_extension(word: Word) -> Word:
 def maximal_chains(P: Poset) -> list:
     """All maximal chains (minimal to maximal element), in lex order."""
     steps = [tuple(zip(up, up)) for up in P.up]  # a cover t is both letter and child
-    return [tuple(path) for m in P.minimals() for path, t in _lex_walk(m, steps.__getitem__, (m,))
-            if not steps[t]]
+    return [path for m in P.minimals() for path, _ in _lex_walk(m, steps.__getitem__, (m,))]
 
 
 def is_antichain(P: Poset, A) -> bool:

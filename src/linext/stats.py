@@ -98,7 +98,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     out = []
     for path, mask in _lex_walk(0, steps, (frozenset(),)):
         if mask == full:
-            out.append(tuple(path))
+            out.append(path)
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} dual domino tableaux")
     return out

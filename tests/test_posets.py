@@ -1,5 +1,6 @@
 """Poset construction, ideals, shapes, linear extension enumeration."""
 
+import hashlib
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linext import posets
+from linext.chains import cross_polytope, graded_from_poset
 from linext.corpus import corpus
 from linext.posets import (
     CapExceeded,
@@ -33,6 +35,7 @@ from linext.posets import (
     restrict,
     shape_poset,
 )
+from linext.stats import dual_domino_tableaux
 
 # Random small posets: pick a subset of pairs (a, b) with a < b as relations,
 # so the digraph is automatically acyclic.
@@ -264,3 +267,62 @@ def test_ideal_cap_overflow_names_the_extension_cap_when_a_layer_passes_it(monke
     with pytest.raises(CapExceeded, match=r"^e\(P\) of a 12-element poset needs more than 1000 order ideals$"):
         list(linear_extensions(antichain(12), cap=11880))
     assert len(list(linear_extensions(antichain(6), cap=720))) == 720  # 64 ideals
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for x in items:
+        h.update(repr(x).encode())
+    return h.hexdigest()[:16]
+
+
+def _pinned_spaces() -> dict:
+    """Name -> (ExtensionSpace, poset of its maximal chains and domino tableaux)."""
+    out = {name: (posets.extension_space(P), P) for name, P in corpus().items()}
+    for rows in ((8, 8), (4, 4, 4), (5, 5, 5)):
+        P = shape_poset(Shape(rows))
+        out[str(rows)] = posets.extension_space(P), P
+    for name, Q in (("J(4,4,4)", graded_from_poset(ideals_lattice(shape_poset(Shape((4, 4, 4))))[0])),
+                    ("L_4", cross_polytope(4)[0])):
+        out[name] = Q.space, Q.poset
+    return out
+
+
+# SHA-256 prefixes over _pinned_spaces() of the words, the tau rows, the three
+# operator arrays, the evacuation fixed points, the maximal chains and the dual
+# domino tableaux, as the lex walk with a yield at every node gave them
+SPACE_DIGESTS = {
+    "words": "2f93b4d1b78c87dd",
+    "tau": "51e8a644c05828fc",
+    "operators": "37fa713d5f361253",
+    "fixed_points": "e180339602a36ab0",
+    "maximal_chains": "780740d3129df136",
+    "dual_domino_tableaux": "7f0c6953a4647d65",
+}
+
+
+def test_spaces_are_pinned_by_digest():
+    spaces = _pinned_spaces()
+    got = {
+        "words": _digest(s.words for s, _ in spaces.values()),
+        "tau": _digest(s.tau for s, _ in spaces.values()),
+        "operators": _digest(s.operators for s, _ in spaces.values()),
+        "fixed_points": _digest(s.fixed_points("evacuate") for s, _ in spaces.values()),
+        "maximal_chains": _digest(maximal_chains(P) for _, P in spaces.values()),
+        # left out: J(4,4,4), whose domino walk meets only dead ends for 5 s,
+        # and L_4, which has more than 200000 tableaux
+        "dual_domino_tableaux": _digest(dual_domino_tableaux(P) for name, (_, P) in spaces.items()
+                                        if name not in ("J(4,4,4)", "L_4")),
+    }
+    assert got == SPACE_DIGESTS
+    with pytest.raises(CapExceeded, match="^more than 2 dual domino tableaux$"):
+        dual_domino_tableaux(spaces["L_4"][1], 2)
+
+
+def test_lex_walk_edges():
+    # a root with no kids is itself a leaf: the one empty word, the one-element chain
+    assert posets.extension_space(antichain(0)).words == ((),)
+    assert graded_from_poset(chain(1)).space.words == ((0,),)
+    assert maximal_chains(chain(1)) == [(0,)]
+    # p = 3 starts with one element, then finds no two-element chain to add
+    assert dual_domino_tableaux(antichain(3)) == []

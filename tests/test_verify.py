@@ -18,9 +18,14 @@ def test_suite_passes(suite_id):
 
 
 def test_eq7_checks_distant_commutation():
-    """B_4 has height 4, so tau_1 and tau_3 commute on each of its 24 maximal chains."""
-    detail = next(r.detail for r in verify_eq7() if r.name == "B_4: tau_i^2 = 1 and commutation")
+    """B_4 has height 4, so tau_1 and tau_3 commute on each of its 24 maximal chains;
+    a row names commutation only when it checked some distant pair."""
+    results = verify_eq7()
+    detail = next(r.detail for r in results if r.name == "B_4: tau_i^2 = 1 and commutation")
     assert int(detail.split()[0]) > 0
+    for r in results:
+        if r.detail.endswith("distant-pair checks"):
+            assert r.name.endswith("and commutation") == (int(r.detail.split()[0]) > 0), r.name
 
 
 def test_run_verifications_rejects_unknown_suite_ids():

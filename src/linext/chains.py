@@ -239,10 +239,10 @@ def signed_group_order(n: int) -> int:
     """Order of <gamma, gamma*> acting on all signed permutations of size n."""
     if n < 1:
         raise ValueError(f"signed permutations need n >= 1, not n = {n}")
-    domain = list(all_signed_perms(n))
+    index = {w: k for k, w in enumerate(all_signed_perms(n))}
     return dihedral_group_order(
-        {w: signed_gamma(w) for w in domain},
-        {w: signed_gamma_star(w) for w in domain},
+        [index[signed_gamma(w)] for w in index],
+        [index[signed_gamma_star(w)] for w in index],
     )
 
 

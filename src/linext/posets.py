@@ -14,7 +14,8 @@ rule for the elements that can be added to an ideal: I gains t iff
 I & geq == below, with t's down-set geq and strict down-set below from
 `_down_sets`.  One layered walk (`_ideal_layers`) serves `count_extensions`,
 `ideals`, `ideals_lattice` and the graph of J(P) that L(P) is read from; it
-builds each layer by one pass per element over the whole layer before it.
+builds each layer from the one before by one pass per element that can join
+an ideal of that size: t joins only ideals of size |geq| - 1 to p - |leq|.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -197,22 +198,30 @@ def _ideal_layers(P: Poset, message: str) -> Iterator[dict]:
     """Walk J(P) upward from the empty ideal, one size at a time.
 
     Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
-    holding two layers at a time.  The next layer is built by one pass per
-    element t over the whole layer, which pushes the path count of every
-    ideal that gains t; CapExceeded(message) is raised after the first pass
+    holding two layers at a time.  An ideal of size k gains t only when it
+    holds t's strict down-set and nothing above t, so only for k from
+    |geq| - 1 to p - |leq|: each element is filed once under those sizes, in
+    ascending t, and the next layer is built by one pass per element filed
+    under the size of the current one, which pushes the path count of every
+    ideal that gains t.  CapExceeded(message) is raised after the first pass
     that brings the number of ideals found past DEFAULT_IDEAL_CAP.
     """
-    down_sets = _down_sets(P, range(P.p))
+    p = P.p
+    joins = [[] for _ in range(p + 1)]  # joins[k]: the down sets of the t an ideal of size k can gain
+    for t, down_set in enumerate(_down_sets(P, range(p))):
+        for k in range(down_set[1].bit_count() - 1, p - P.leq_mask[t].bit_count() + 1):
+            joins[k].append(down_set)
     layer = {0: 1}
     found = 1
-    while layer:
+    for down_sets in joins:
         yield layer
         nxt = {}
         get = nxt.get
         for bit, geq, below in down_sets:
             for mask, paths in layer.items():
                 if mask & geq == below:
-                    nxt[mask | bit] = get(mask | bit, 0) + paths
+                    up = mask | bit
+                    nxt[up] = get(up, 0) + paths
             if found + len(nxt) > DEFAULT_IDEAL_CAP:
                 raise CapExceeded(message)
         found += len(nxt)
@@ -371,18 +380,23 @@ def count_extensions(P: Poset, extension_cap: int = None) -> int:
     return layer[(1 << P.p) - 1]
 
 
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b with its 8 bits reversed
+
+
 def ideals(P: Poset) -> list:
     """All order ideals as bitmasks, sorted by (size, lowest-id members).
 
     Reads the layered walk of J(P) that `count_extensions` reads.
     """
-    fmt = f"0{P.p}b"
+    nbytes = (P.p + 7) // 8
     out = []
     for layer in _ideal_layers(P, f"more than {DEFAULT_IDEAL_CAP} order ideals"):
         # Among masks of one size, lex order of the member tuples puts first
-        # the mask holding the lowest bit where two differ: the larger one
-        # when the bits are read in reverse.
-        out.extend(sorted(layer, key=lambda m: int(format(m, fmt)[::-1], 2), reverse=True))
+        # the mask holding the lowest bit where two differ: the larger key
+        # when its bytes run from bit 0 up, each byte's bits reversed, and
+        # compare as bytes do, first byte first and high bit first.
+        out.extend(sorted(layer, key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED_BITS),
+                          reverse=True))
     return out
 
 

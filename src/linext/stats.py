@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import posets
 from .posets import (
     DEFAULT_EXTENSION_CAP,
     CapExceeded,
@@ -84,21 +85,37 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
 
     A step adds a two-element chain {s, t} with s < t; the first step adds a
     single element when p is odd.  Raises CapExceeded past `cap` tableaux.
+
+    The lex walk runs over ideal masks.  Each ideal's steps are found once,
+    and CapExceeded is raised once more than DEFAULT_IDEAL_CAP ideals have
+    been expanded.  An expanded ideal is met again only after its walk has
+    ended, so unless a tableau passed through it, it is a dead end and is
+    left out of the steps that lead to it.
     """
     full = (1 << P.p) - 1
     down_sets = _down_sets(P, range(P.p))
     above = [_down_sets(P, P.up[s]) for s in range(P.p)]
+    expanded, live = {}, {}  # live: {mask: its frozenset} per ideal on a tableau found
 
-    def steps(mask):  # (ideal, its mask) per step up from `mask`, by (s, t)
-        ms = [mask | bit for bit in _addable(down_sets, mask)]
-        if mask or not P.p % 2:  # bar an odd p's first step; a t > s addable now covers s
-            ms = [m | bit for m in ms for bit in _addable(above[(m ^ mask).bit_length() - 1], m)]
-        return [(frozenset(_mask_members(m)), m) for m in ms]
+    def steps(mask):  # (m, m) per ideal m one step up from `mask`, by (s, t), bar dead ends
+        ms = expanded.get(mask)
+        if ms is None:
+            if len(expanded) >= posets.DEFAULT_IDEAL_CAP:
+                raise CapExceeded(f"dual domino tableaux of a {P.p}-element poset need more than "
+                                  f"{posets.DEFAULT_IDEAL_CAP} order ideals")
+            ms = [mask | bit for bit in _addable(down_sets, mask)]
+            if mask or not P.p % 2:  # bar an odd p's first step; a t > s addable now covers s
+                ms = [m | bit for m in ms for bit in _addable(above[(m ^ mask).bit_length() - 1], m)]
+            expanded[mask] = ms
+        return [(m, m) for m in ms if m in live or m not in expanded]
 
     out = []
-    for path, mask in _lex_walk(0, steps, (frozenset(),)):
+    for path, mask in _lex_walk(0, steps, (0,)):
         if mask == full:
-            out.append(path)
+            for m in path:
+                if m not in live:
+                    live[m] = frozenset(_mask_members(m))
+            out.append(tuple(map(live.__getitem__, path)))
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} dual domino tableaux")
     return out

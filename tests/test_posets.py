@@ -135,6 +135,37 @@ def test_shuffled_disjoint_chains_count_and_ideals():
     assert len(ideals(P)) == 2 ** 4 * 4 ** 2
 
 
+@st.composite
+def narrow_posets(draw, min_p, max_p, width):
+    """Random posets on shuffled ids split into at most `width` chains, plus
+    random pairs that respect one order of the ids, so J(P) stays small."""
+    p = draw(st.integers(min_p, max_p))
+    order = draw(st.permutations(range(p)))
+    which = draw(st.lists(st.integers(0, width - 1), min_size=p, max_size=p))
+    pairs = [(order[a], order[b]) for a, b in draw(st.lists(
+        st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=p)) if a < b]
+    for w in range(width):
+        ids = [order[a] for a in range(p) if which[a] == w]
+        pairs += zip(ids, ids[1:])
+    return poset_from_covers(p, pairs)
+
+
+def test_deep_and_long_walks():
+    assert count_extensions(chain(2000)) == 1
+    assert ideals(chain(2000)) == [(1 << k) - 1 for k in range(2001)]
+    rectangle = shape_poset(Shape((40, 40)))
+    assert count_extensions(rectangle) == math.comb(80, 40) // 41  # the Catalan number C_40
+    assert len(ideals(rectangle)) == 41 * 42 // 2
+
+
+@given(narrow_posets(7, 20, 3))
+@settings(max_examples=100, deadline=None)
+def test_ideals_sorted_by_size_then_members_across_key_bytes(P):
+    # the sort key grows a byte at p = 9 and at p = 17
+    masks = ideals(P)
+    assert masks == sorted(masks, key=lambda m: (m.bit_count(), _mask_members(m)))
+
+
 def test_count_extensions_cap(monkeypatch):
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 100)
     with pytest.raises(CapExceeded, match="12-element poset .* 100 order ideals"):

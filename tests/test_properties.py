@@ -19,6 +19,8 @@ from linext.posets import (
     CycleError,
     Shape,
     _ideal_layers,
+    antichain,
+    chain,
     count_extensions,
     dual_poset,
     extension_space,
@@ -314,6 +316,30 @@ def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P)
             assert all(s in S for (s, t) in P.covers if t in S)  # down-closed
             sub, _ = restrict(P, S)
             assert paths == len(lex_extensions(sub)), S
+
+
+def all_elements_layers(P) -> list:
+    """The layers of J(P) as (mask, paths) lists in insertion order, each
+    built by one pass of every element over the layer before it."""
+    down_sets = posets._down_sets(P, range(P.p))
+    layer, out = {0: 1}, []
+    while layer:
+        out.append(list(layer.items()))
+        nxt = {}
+        for bit, geq, below in down_sets:
+            for mask, paths in layer.items():
+                if mask & geq == below:
+                    nxt[mask | bit] = nxt.get(mask | bit, 0) + paths
+        layer = nxt
+    return out
+
+
+@given(st.one_of(dag_posets(max_p=10), st.integers(0, 12).map(chain), st.integers(0, 10).map(antichain)))
+@settings(max_examples=150, deadline=None)
+def test_windowed_walk_matches_the_all_elements_walk(P):
+    # same layers, keys, path counts and insertion order, p = 0 included
+    got = [list(layer.items()) for layer in _ideal_layers(P, "unreachable")]
+    assert got == all_elements_layers(P)
 
 
 def brute_force_maximal_chains(P) -> list:

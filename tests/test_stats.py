@@ -4,14 +4,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linext import posets, stats
 from linext.corpus import corpus_p_le
 from linext.posets import (
+    CapExceeded,
+    Shape,
     antichain,
     chain,
     count_extensions,
+    ideals_lattice,
     linear_extensions,
     natural_relabel,
     poset_from_covers,
+    shape_poset,
 )
 from linext.promotion import evacuate
 from linext.ratfunc import peval
@@ -106,6 +111,28 @@ def test_domino_words_roundtrip(name):
         w = domino_word(t)
         assert P.is_extension(w)
         assert is_dual_domino_word(P, w)
+
+
+def test_dual_domino_walk_expands_each_ideal_once(monkeypatch):
+    # J of the 3x4 rectangle (35 elements) has no dual domino tableau; walked
+    # path by path, its dead ends took over a million _addable calls
+    J = ideals_lattice(shape_poset(Shape((4, 4, 4))))[0]
+    calls, entered, addable, lex_walk = [], [], stats._addable, stats._lex_walk
+    monkeypatch.setattr(stats, "_addable", lambda down_sets, mask: calls.append((len(down_sets), mask))
+                        or addable(down_sets, mask))
+    monkeypatch.setattr(stats, "_lex_walk", lambda root, kids, head: lex_walk(
+        root, lambda mask: entered.append(mask) or kids(mask), head))
+    assert dual_domino_tableaux(J) == []
+    expanded = [mask for n, mask in calls if n == J.p]  # a step's second element asks fewer
+    assert len(expanded) == len(set(expanded)) and len(calls) < 1000
+    assert len(entered) < 2 * len(expanded)  # a dead end is not walked again
+    # the cap bounds the ideals expanded
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", len(expanded))
+    assert dual_domino_tableaux(J) == []
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", len(expanded) - 1)
+    with pytest.raises(CapExceeded, match=f"^dual domino tableaux of a 35-element poset need more than "
+                                          f"{len(expanded) - 1} order ideals$"):
+        dual_domino_tableaux(J)
 
 
 def test_counts_on_known_posets():

@@ -12,10 +12,12 @@ covers run no reduction, `dual_poset` swaps P's masks and cover lists, and
 L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
 rule for the elements that can be added to an ideal: I gains t iff
 I & geq == below, with t's down-set geq and strict down-set below from
-`_down_sets`.  One layered walk (`_ideal_layers`) serves `count_extensions`,
-`ideals`, `ideals_lattice` and the graph of J(P) that L(P) is read from; it
-builds each layer from the one before by one pass per element that can join
-an ideal of that size: t joins only ideals of size |geq| - 1 to p - |leq|.
+`_down_sets`, and asks only the elements that `_joins` files under the size of
+I (t joins only ideals of size |geq| - 1 to p - |leq|): the layered walk, the
+kids of L(P)'s graph, the covers of `ideals_lattice` and the dual domino steps.
+One layered walk (`_ideal_layers`) serves `count_extensions`, `ideals`,
+`ideals_lattice` and the graph of J(P) that L(P) is read from; it builds each
+layer from the one before by one pass per element filed under that size.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -194,26 +196,32 @@ def _addable(down_sets, mask: int) -> list:
     return [bit for bit, geq, below in down_sets if mask & geq == below]
 
 
+def _joins(P: Poset) -> list:
+    """joins[k], k = 0..p: the down sets (as `_down_sets` gives them), in
+    ascending t, of the elements t that an ideal of size k can gain.  That
+    ideal holds t's strict down-set and nothing above t, so |geq| - 1 <= k
+    <= p - |leq|: each element is filed once under those sizes."""
+    p = P.p
+    joins = [[] for _ in range(p + 1)]
+    for t, down_set in enumerate(_down_sets(P, range(p))):
+        for k in range(down_set[1].bit_count() - 1, p - P.leq_mask[t].bit_count() + 1):
+            joins[k].append(down_set)
+    return joins
+
+
 def _ideal_layers(P: Poset, message: str) -> Iterator[dict]:
     """Walk J(P) upward from the empty ideal, one size at a time.
 
     Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
-    holding two layers at a time.  An ideal of size k gains t only when it
-    holds t's strict down-set and nothing above t, so only for k from
-    |geq| - 1 to p - |leq|: each element is filed once under those sizes, in
-    ascending t, and the next layer is built by one pass per element filed
-    under the size of the current one, which pushes the path count of every
-    ideal that gains t.  CapExceeded(message) is raised after the first pass
-    that brings the number of ideals found past DEFAULT_IDEAL_CAP.
+    holding two layers at a time.  The next layer is built by one pass per
+    element t that `_joins` files under the size of the current one, which
+    pushes the path count of every ideal that gains t.  CapExceeded(message)
+    is raised after the first pass that brings the number of ideals found
+    past DEFAULT_IDEAL_CAP.
     """
-    p = P.p
-    joins = [[] for _ in range(p + 1)]  # joins[k]: the down sets of the t an ideal of size k can gain
-    for t, down_set in enumerate(_down_sets(P, range(p))):
-        for k in range(down_set[1].bit_count() - 1, p - P.leq_mask[t].bit_count() + 1):
-            joins[k].append(down_set)
     layer = {0: 1}
     found = 1
-    for down_sets in joins:
+    for down_sets in _joins(P):
         yield layer
         nxt = {}
         get = nxt.get
@@ -341,9 +349,9 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     CapExceeded when e(P) > cap, before any word is built, and on a hit too."""
     space = _SPACES.get(P)
     if space is None:
-        down_sets, kids = _down_sets(P, range(P.p)), {}
+        kids = {}
         try:
-            for layer in _ideal_layers(P, ""):
+            for down_sets, layer in zip(_joins(P), _ideal_layers(P, "")):
                 if sum(layer.values()) > cap:  # a lower bound on e(P), see count_extensions
                     raise CapExceeded
                 for mask in layer:  # kids[I]: (t, I + t) per t addable to I
@@ -417,8 +425,8 @@ def ideals_lattice(P: Poset):
     """
     masks = ideals(P)
     index = {m: i for i, m in enumerate(masks)}
-    down_sets = _down_sets(P, range(P.p))
-    covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(down_sets, m)]
+    joins = _joins(P)
+    covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(joins[m.bit_count()], m)]
     lattice = _poset_from_reduced(len(masks), covers)
     members = tuple(frozenset(_mask_members(m)) for m in masks)
     return lattice, members

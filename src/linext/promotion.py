@@ -4,15 +4,17 @@ All operators act on the right, so compositions read left to right: applying
 "promote then evacuate" to f computes (f d) e.  Words are tuples of element
 ids as produced by posets.linear_extensions.  Over all of L(P), promotion,
 evacuation and dual evacuation are the index arrays of the cached
-posets.ExtensionSpace, grown from its tau rows along the delta runs; every
-permutation and orbit consumer here reads that one map by operator name.
+posets.ExtensionSpace, grown from its tau rows along the delta runs.  Every
+permutation here is an index sequence (a list or an array('i'), perm[k] the
+image of index k; only extension_permutation spells out {word: word}), and
+promote^p's cycles are read from promotion's by the gcd split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .posets import (
     DEFAULT_EXTENSION_CAP,
@@ -227,35 +229,29 @@ def extension_permutation(P: Poset, op) -> dict:
     return {w: space.words[j] for w, j in zip(space.words, space.operators[op.__name__])}
 
 
-def cycle_lengths(perm: dict) -> tuple:
-    seen = set()
+def cycle_lengths(perm) -> tuple:
+    """The sorted cycle lengths of the index permutation `perm`."""
+    seen = bytearray(len(perm))
     out = []
-    for start in perm:
-        if start in seen:
-            continue
+    for start in range(len(perm)):
         n = 0
         x = start
-        while x not in seen:
-            seen.add(x)
+        while not seen[x]:
+            seen[x] = 1
             x = perm[x]
             n += 1
-        out.append(n)
+        if n:
+            out.append(n)
     return tuple(sorted(out))
 
 
-def permutation_order(perm: dict) -> int:
-    ls = cycle_lengths(perm)
-    return lcm(*ls) if ls else 1
+def compose(first, second) -> list:
+    """Right-action composition (f first) second: k goes to second[first[k]]."""
+    return [second[x] for x in first]
 
 
-def compose(first: dict, second: dict) -> dict:
-    """Right-action composition: (f first) second.  Index lists work too: a
-    permutation lists every index once, so iterating it visits them all."""
-    return {w: second[first[w]] for w in first}
-
-
-def permutation_power(perm: dict, k: int) -> dict:
-    out = {w: w for w in perm}
+def permutation_power(perm, k: int) -> list:
+    out = list(range(len(perm)))
     base = perm
     while k:
         if k & 1:
@@ -274,15 +270,17 @@ def orbit_structure(P: Poset, operator: str, cap: int = DEFAULT_EXTENSION_CAP) -
     if operator not in ORBIT_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     space = extension_space(P, cap)
-    if operator == "promote_p":
-        perm = permutation_power(space.operators["promote"], P.p)
-    else:
-        perm = space.operators[operator]
-    return OrbitReport(operator, cycle_lengths(perm), len(space.words))
+    if operator != "promote_p":
+        return OrbitReport(operator, cycle_lengths(space.operators[operator]), len(space.words))
+    # under the p-th power a cycle of length L splits into gcd(L, p) of length L / gcd(L, p)
+    lengths = sorted(L // g for L in cycle_lengths(space.operators["promote"])
+                     for g in (gcd(L, P.p),) for _ in range(g))
+    return OrbitReport(operator, tuple(lengths), len(space.words))
 
 
-def dihedral_group_order(first: dict, second: dict) -> int:
-    """Order of the group generated by two involutions of one set.
+def dihedral_group_order(first, second) -> int:
+    """Order of the group generated by two involutions of 0..n-1, given as
+    index sequences.
 
     Reported as 2m where m is the order of the product of the two
     involutions, with 1 for the degenerate single-state case.  (On more than
@@ -293,7 +291,7 @@ def dihedral_group_order(first: dict, second: dict) -> int:
     """
     if len(first) <= 1:
         return 1
-    return 2 * permutation_order(compose(first, second))
+    return 2 * lcm(*cycle_lengths(compose(first, second)))
 
 
 def dihedral_order(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> int:

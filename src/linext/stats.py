@@ -22,6 +22,7 @@ from .posets import (
     Word,
     _addable,
     _down_sets,
+    _joins,
     _lex_walk,
     _mask_members,
     extension_space,
@@ -93,7 +94,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     left out of the steps that lead to it.
     """
     full = (1 << P.p) - 1
-    down_sets = _down_sets(P, range(P.p))
+    joins = _joins(P)
     above = [_down_sets(P, P.up[s]) for s in range(P.p)]
     expanded, live = {}, {}  # live: {mask: its frozenset} per ideal on a tableau found
 
@@ -103,7 +104,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
             if len(expanded) >= posets.DEFAULT_IDEAL_CAP:
                 raise CapExceeded(f"dual domino tableaux of a {P.p}-element poset need more than "
                                   f"{posets.DEFAULT_IDEAL_CAP} order ideals")
-            ms = [mask | bit for bit in _addable(down_sets, mask)]
+            ms = [mask | bit for bit in _addable(joins[mask.bit_count()], mask)]
             if mask or not P.p % 2:  # bar an odd p's first step; a t > s addable now covers s
                 ms = [m | bit for m in ms for bit in _addable(above[(m ^ mask).bit_length() - 1], m)]
             expanded[mask] = ms

@@ -20,6 +20,7 @@ from linext.posets import (
     antichain_cuts_all_chains,
     count_extensions,
     delete_element,
+    extension_space,
     linear_extensions,
     natural_relabel,
     poset_from_covers,
@@ -122,14 +123,20 @@ def test_c04_qm1_divisibility_with_nontight_witness():
 
 def test_c05_involution_and_conjugation_identities():
     for name, P in corpus_p_le(8).items():
-        ev = extension_permutation(P, evacuate)
-        dev = extension_permutation(P, dual_evacuate)
-        prom = extension_permutation(P, promote)
-        ident = {w: w for w in ev}
+        space = extension_space(P)
+        for op in (promote, evacuate, dual_evacuate):  # the {word: word} map against the tau words
+            perm = extension_permutation(P, op)
+            assert len(perm) == len(space.words), name
+            assert all(perm[w] == op(P, w) for w in space.words), name
+        ops = space.operators
+        ev, dev, prom = ops["evacuate"], ops["dual_evacuate"], ops["promote"]
+        ident = list(range(len(space.words)))
         assert compose(ev, ev) == ident, name
         assert compose(dev, dev) == ident, name
         assert permutation_power(prom, P.p) == compose(ev, dev), name
-        inv_prom = {v: k for k, v in prom.items()}
+        inv_prom = [0] * len(prom)
+        for k, j in enumerate(prom):
+            inv_prom[j] = k
         lhs = compose(prom, ev)
         rhs = compose(ev, inv_prom)
         assert lhs == rhs, name

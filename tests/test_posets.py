@@ -357,3 +357,13 @@ def test_lex_walk_edges():
     assert maximal_chains(chain(1)) == [(0,)]
     # p = 3 starts with one element, then finds no two-element chain to add
     assert dual_domino_tableaux(antichain(3)) == []
+
+
+def test_extension_space_asks_only_the_elements_an_ideal_can_gain(monkeypatch):
+    # an ideal of size k of chain(p) can gain k alone, so p down-sets are asked in all
+    p, asked, addable = 2000, [], posets._addable
+    monkeypatch.setattr(posets, "_SPACES", {})
+    monkeypatch.setattr(posets, "_addable", lambda down_sets, mask: asked.append(len(down_sets))
+                        or addable(down_sets, mask))
+    assert posets.extension_space(chain(p)).words == (tuple(range(p)),)
+    assert sum(asked) <= 2 * p

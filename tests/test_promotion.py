@@ -1,11 +1,15 @@
 """Promotion, evacuation, and their interplay on linear extensions."""
 
+import hashlib
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linext import posets, sieve, stats
-from linext.corpus import corpus_p_le
+from linext.chains import signed_group_order
+from linext.corpus import corpus, corpus_p_le
 from linext.posets import (
     Shape,
     antichain,
@@ -15,8 +19,10 @@ from linext.posets import (
     shape_poset,
 )
 from linext.promotion import (
+    ORBIT_OPERATORS,
     compose,
     cycle_lengths,
+    dihedral_group_order,
     dihedral_order,
     dual_evacuate,
     dual_evacuate_via_dual,
@@ -25,7 +31,6 @@ from linext.promotion import (
     evacuate_by_freezing,
     extension_permutation,
     orbit_structure,
-    permutation_order,
     permutation_power,
     principal_chain,
     promote,
@@ -154,12 +159,8 @@ def test_evacuation_routes_agree(name):
 @given(st.sampled_from(sorted(CORPUS)))
 def test_promotion_power_p_is_evac_composition(name):
     P = CORPUS[name]
-    prom = extension_permutation(P, promote)
-    ee = compose(
-        extension_permutation(P, evacuate),
-        extension_permutation(P, dual_evacuate),
-    )
-    assert permutation_power(prom, P.p) == ee
+    ops = posets.extension_space(P).operators
+    assert permutation_power(ops["promote"], P.p) == compose(ops["evacuate"], ops["dual_evacuate"])
 
 
 def test_extension_permutation_rejects_other_operators():
@@ -213,10 +214,17 @@ def test_evacuation_cycles_are_short(name):
 
 
 def test_permutation_helpers():
-    perm = {1: 2, 2: 3, 3: 1, 4: 4}
-    assert sorted(cycle_lengths(perm)) == [1, 3]
-    assert permutation_order(perm) == 3
-    assert permutation_power(perm, 3) == {k: k for k in perm}
+    # perm[k] is the image of index k; a list and an array('i') act alike
+    for perm in ([1, 2, 0, 3], array("i", [1, 2, 0, 3])):
+        assert cycle_lengths(perm) == (1, 3)
+        assert permutation_power(perm, 0) == [0, 1, 2, 3]
+        assert permutation_power(perm, 2) == compose(perm, perm) == [2, 0, 1, 3]
+        assert permutation_power(perm, 3) == [0, 1, 2, 3]
+    # right action: first swaps 0 and 1, then second swaps 1 and 2
+    assert compose([1, 0, 2], [0, 2, 1]) == [2, 0, 1]
+    assert dihedral_group_order(array("i", [1, 0, 2]), [0, 2, 1]) == 6
+    assert cycle_lengths([]) == ()
+    assert dihedral_group_order([], []) == dihedral_group_order([0], [0]) == 1
 
 
 # --- dihedral group -----------------------------------------------------------
@@ -228,6 +236,40 @@ def test_dihedral_orders():
     # antichain: evacuation and its dual are both the reversal, so the
     # product is the identity and the group is Z/2Z
     assert dihedral_order(antichain(3)) == 2
+
+
+# --- the orbit census, pinned --------------------------------------------------
+
+CENSUS_SHAPES = ((Shape((4, 4)), "rectangle"), (Shape((3, 3, 3)), "rectangle"),
+                 (Shape((4, 3, 2, 1)), "staircase"), (Shape((5, 3, 1), shifted=True), "shifted_double_staircase"))
+
+# SHA-256 prefixes of the orbit_structure report of every operator and the
+# dihedral order on the corpus and CENSUS_SHAPES, of special_shape_check on
+# those shapes, and of signed_group_order(1..5)
+CENSUS_DIGESTS = {
+    "orbits": "88bc1285c8c01430",
+    "special_shapes": "ad96470c914679ca",
+    "signed_group_orders": "e7fda19be34d28da",
+}
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for x in items:
+        h.update(repr(x).encode())
+    return h.hexdigest()[:16]
+
+
+def test_orbit_census_is_pinned_by_digest():
+    posets_ = list(corpus().values()) + [shape_poset(s) for s, _ in CENSUS_SHAPES]
+    assert len(posets_) == 30
+    got = {
+        "orbits": _digest((*(orbit_structure(P, op) for op in ORBIT_OPERATORS), dihedral_order(P))
+                          for P in posets_),
+        "special_shapes": _digest(sieve.special_shape_check(s, kind) for s, kind in CENSUS_SHAPES),
+        "signed_group_orders": _digest(signed_group_order(n) for n in range(1, 6)),
+    }
+    assert got == CENSUS_DIGESTS
 
 
 # --- the cached ExtensionSpace -----------------------------------------------

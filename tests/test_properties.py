@@ -35,6 +35,7 @@ from linext.posets import (
 )
 from linext.promotion import (
     compose,
+    cycle_lengths,
     delta_word,
     dihedral_order,
     dual_evacuate,
@@ -42,7 +43,6 @@ from linext.promotion import (
     dual_promote,
     evacuate,
     evacuate_by_freezing,
-    extension_permutation,
     gamma_star_word,
     gamma_word,
     orbit_structure,
@@ -167,14 +167,30 @@ def test_chain_operators_on_ideal_lattice_match_extension_operators(Pw):
 def test_monoid_identities_on_permutations(P):
     """Thm 1 and Lemma 1 on L(P): epsilon and epsilon* are involutions,
     delta^p = epsilon epsilon* and delta epsilon = epsilon delta^-1."""
-    pr = extension_permutation(P, promote)
-    ev = extension_permutation(P, evacuate)
-    dev = extension_permutation(P, dual_evacuate)
-    ident = {w: w for w in pr}
+    ops = extension_space(P).operators
+    pr, ev, dev = ops["promote"], ops["evacuate"], ops["dual_evacuate"]
+    ident = list(range(len(pr)))
+    inv_pr = [0] * len(pr)
+    for k, j in enumerate(pr):
+        inv_pr[j] = k
     assert compose(ev, ev) == ident
     assert compose(dev, dev) == ident
     assert permutation_power(pr, P.p) == compose(ev, dev)
-    assert compose(pr, ev) == compose(ev, {v: w for w, v in pr.items()})
+    assert compose(pr, ev) == compose(ev, inv_pr)
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_promote_p_cycles_are_promotions_split_by_gcd(P):
+    promote_ = extension_space(P).operators["promote"]
+    assert orbit_structure(P, "promote_p").cycle_lengths == cycle_lengths(permutation_power(promote_, P.p))
+
+
+def test_promote_p_at_p_0_and_1_is_the_identity():
+    # p = 0 splits a cycle of length L into gcd(L, 0) = L fixed points; p = 1 splits none
+    for P in (antichain(0), chain(1)):
+        rep = orbit_structure(P, "promote_p")
+        assert rep.cycle_lengths == (1,) and rep.size == 1
 
 
 @given(dag_posets(max_p=6))

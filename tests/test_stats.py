@@ -117,13 +117,16 @@ def test_dual_domino_walk_expands_each_ideal_once(monkeypatch):
     # J of the 3x4 rectangle (35 elements) has no dual domino tableau; walked
     # path by path, its dead ends took over a million _addable calls
     J = ideals_lattice(shape_poset(Shape((4, 4, 4))))[0]
-    calls, entered, addable, lex_walk = [], [], stats._addable, stats._lex_walk
-    monkeypatch.setattr(stats, "_addable", lambda down_sets, mask: calls.append((len(down_sets), mask))
+    calls, entered, joins = [], [], []
+    addable, lex_walk, joins_of = stats._addable, stats._lex_walk, stats._joins
+    monkeypatch.setattr(stats, "_joins", lambda P: joins.append(joins_of(P)) or joins[-1])
+    monkeypatch.setattr(stats, "_addable", lambda down_sets, mask: calls.append((down_sets, mask))
                         or addable(down_sets, mask))
     monkeypatch.setattr(stats, "_lex_walk", lambda root, kids, head: lex_walk(
         root, lambda mask: entered.append(mask) or kids(mask), head))
     assert dual_domino_tableaux(J) == []
-    expanded = [mask for n, mask in calls if n == J.p]  # a step's second element asks fewer
+    # a step's first element is asked of joins[|mask|], its second of the covers of the first
+    expanded = [mask for down_sets, mask in calls if down_sets is joins[0][mask.bit_count()]]
     assert len(expanded) == len(set(expanded)) and len(calls) < 1000
     assert len(entered) < 2 * len(expanded)  # a dead end is not walked again
     # the cap bounds the ideals expanded

@@ -396,7 +396,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

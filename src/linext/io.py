@@ -31,8 +31,11 @@ def parse_poset(text: str) -> Poset:
 
 
 def load_poset(path) -> Poset:
-    with open(path) as fh:
-        return parse_poset(fh.read())
+    try:
+        with open(path) as fh:
+            return parse_poset(fh.read())
+    except OSError as exc:  # a missing or unreadable file, or a directory
+        raise ParseError(str(exc)) from exc
 
 
 def dump_poset(P: Poset) -> str:

@@ -15,9 +15,9 @@ I & geq == below, with t's down-set geq and strict down-set below from
 `_down_sets`, and asks only the elements that `_joins` files under the size of
 I (t joins only ideals of size |geq| - 1 to p - |leq|): the layered walk, the
 kids of L(P)'s graph, the covers of `ideals_lattice` and the dual domino steps.
-One layered walk (`_ideal_layers`) serves `count_extensions`, `ideals`,
-`ideals_lattice` and the graph of J(P) that L(P) is read from; it builds each
-layer from the one before by one pass per element filed under that size.
+One layered walk (`_ideal_layers`), a pass per element filed under a layer's
+size, serves `count_extensions`, `ideals`, `ideals_lattice` and `extension_space`,
+which reads L(P)'s graph, or past its cap e(P) for the message, off that walk.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -39,6 +39,7 @@ Word = tuple  # tuple[int, ...], a linear extension as a word
 
 DEFAULT_IDEAL_CAP = 2 ** 20  # the one cap on |J(P)|, read by every walk of J(P) when it runs
 DEFAULT_EXTENSION_CAP = 200_000
+_NEEDS_IDEALS = "e(P) of a {}-element poset needs more than {} order ideals"  # p, DEFAULT_IDEAL_CAP
 
 
 class CycleError(ValueError):
@@ -345,20 +346,27 @@ _SPACES = {}  # Poset -> ExtensionSpace, oldest first
 
 
 def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
-    """The cached ExtensionSpace of P (see SPACE_CACHE_SIZE); raises
-    CapExceeded when e(P) > cap, before any word is built, and on a hit too."""
+    """The cached ExtensionSpace of P (see SPACE_CACHE_SIZE), or CapExceeded
+    when e(P) > cap, before any word is built, and on a hit too.  Its one walk
+    of J(P) drops the graph once a layer's path sum (a lower bound on e(P), see
+    count_extensions) passes cap, and counts on to name e(P) in the message."""
     space = _SPACES.get(P)
     if space is None:
-        kids = {}
+        kids, message = {}, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
         try:
-            for down_sets, layer in zip(_joins(P), _ideal_layers(P, "")):
-                if sum(layer.values()) > cap:  # a lower bound on e(P), see count_extensions
-                    raise CapExceeded
-                for mask in layer:  # kids[I]: (t, I + t) per t addable to I
-                    kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
-        except CapExceeded:  # of e(P) or of the ideals, which count_extensions names
-            n = count_extensions(P, extension_cap=cap)
-            raise CapExceeded(f"e(P) = {n} exceeds cap {cap}") from None
+            for down_sets, layer in zip(_joins(P), _ideal_layers(P, message)):
+                paths = sum(layer.values())
+                if paths > cap:  # as is every later sum, so from here the walk only counts
+                    kids = None
+                else:
+                    for mask in layer:  # kids[I]: (t, I + t) per t addable to I
+                        kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
+        except CapExceeded:  # of the ideals, named unless a complete layer has passed cap
+            if kids is None:
+                raise CapExceeded(f"e(P) >= {paths} exceeds cap {cap}") from None
+            raise
+        if kids is None:
+            raise CapExceeded(f"e(P) = {paths} exceeds cap {cap}")
         space = _SPACES[P] = ExtensionSpace(P.p, 0, kids)
         if len(_SPACES) > SPACE_CACHE_SIZE:
             del _SPACES[next(iter(_SPACES))]
@@ -367,24 +375,12 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     return space
 
 
-def count_extensions(P: Poset, extension_cap: int = None) -> int:
-    """e(P), the number of paths from the empty ideal to P in J(P).
-
-    Reads the layered walk of J(P) that `ideals` reads; raises CapExceeded
-    once more than DEFAULT_IDEAL_CAP ideals are found.  The path sum of a
-    complete layer is a lower bound on e(P), as sum over |I| = k of
-    e(I) e(P - I) is e(P): when that of the last one exceeds `extension_cap`,
-    the e(P) message is raised instead.
-    """
-    cap_message = f"e(P) of a {P.p}-element poset needs more than {DEFAULT_IDEAL_CAP} order ideals"
-    try:
-        for layer in _ideal_layers(P, cap_message):
-            pass
-    except CapExceeded:
-        bound = sum(layer.values())
-        if extension_cap is not None and bound > extension_cap:
-            raise CapExceeded(f"e(P) >= {bound} exceeds cap {extension_cap}") from None
-        raise
+def count_extensions(P: Poset) -> int:
+    """e(P), the number of paths from the empty ideal to P in J(P), by the walk
+    `ideals` reads (CapExceeded past DEFAULT_IDEAL_CAP ideals).  A complete
+    layer's path sum is a lower bound on e(P) = sum over |I| = k of e(I) e(P - I)."""
+    for layer in _ideal_layers(P, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)):
+        pass
     return layer[(1 << P.p) - 1]
 
 

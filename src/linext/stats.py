@@ -72,11 +72,11 @@ def wprime_poly(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
     return pnorm(coeffs)
 
 
-def w_poly(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
+def w_poly(P: Poset) -> IntPoly:
     """W_P(x), the maj variant."""
     _require_natural(P)
     coeffs = [0] * (P.p * (P.p - 1) // 2 + 1)
-    for w in linear_extensions(P, cap=cap):
+    for w in linear_extensions(P):
         coeffs[sum(_descents(w))] += 1
     return pnorm(coeffs)
 

@@ -154,6 +154,15 @@ def test_cli_slender_reads_corpus_names_and_files(capsys):
         assert (code, out.splitlines()) == (0, rows)
 
 
+@pytest.mark.parametrize("verb", [["le", "--poset"], ["slender"]])
+def test_cli_unreadable_poset_path_is_a_usage_error(verb, tmp_path, capsys):
+    # the reader's OSError is the user's fault: exit 2 with its text, no traceback
+    for path, reason in ((tmp_path, "Is a directory"), (tmp_path / "missing.poset", "No such file or directory")):
+        code, out, err = run_cli([*verb, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f"] {reason}: {str(path)!r}\n")
+
+
 def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     # a small cap in place of the default keeps the test fast
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)

@@ -73,7 +73,6 @@ def test_every_private_top_level_name_is_read_in_the_package():
 # (module, function, parameter) that no call in the program passes, and why it stays
 UNPASSED_DEFAULTS = {
     ("cli.py", "main", "argv"): "only tests pass argv; the console script reads sys.argv",
-    ("stats.py", "w_poly", "cap"): "no other public route reaches W_P",
 }
 
 

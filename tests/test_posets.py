@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -367,3 +368,20 @@ def test_extension_space_asks_only_the_elements_an_ideal_can_gain(monkeypatch):
                         or addable(down_sets, mask))
     assert posets.extension_space(chain(p)).words == (tuple(range(p)),)
     assert sum(asked) <= 2 * p
+
+
+@pytest.mark.parametrize("p, ideal_cap, cap, message", [
+    (10, None, 100, "e(P) = 3628800 exceeds cap 100"),
+    (10, None, 3628799, "e(P) = 3628800 exceeds cap 3628799"),  # passed only by the sums of sizes 9 and 10
+    (12, 1000, 11879, "e(P) >= 11880 exceeds cap 11879"),
+    (12, 1000, 11880, "e(P) of a 12-element poset needs more than 1000 order ideals"),
+], ids=["e", "e-late", "bound", "ideal-cap"])
+def test_extension_space_over_its_cap_walks_j_of_p_once(p, ideal_cap, cap, message, monkeypatch):
+    walks, layers = [], posets._ideal_layers
+    monkeypatch.setattr(posets, "_SPACES", {})
+    monkeypatch.setattr(posets, "_ideal_layers", lambda P, msg: walks.append(msg) or layers(P, msg))
+    if ideal_cap is not None:
+        monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", ideal_cap)
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        posets.extension_space(antichain(p), cap)
+    assert len(walks) == 1 and posets._SPACES == {}

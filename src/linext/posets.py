@@ -16,8 +16,12 @@ I & geq == below, with t's down-set geq and strict down-set below from
 I (t joins only ideals of size |geq| - 1 to p - |leq|): the layered walk, the
 kids of L(P)'s graph, the covers of `ideals_lattice` and the dual domino steps.
 One layered walk (`_ideal_layers`), a pass per element filed under a layer's
-size, serves `count_extensions`, `ideals`, `ideals_lattice` and `extension_space`,
-which reads L(P)'s graph, or past its cap e(P) for the message, off that walk.
+size, serves `extension_space`, which reads L(P)'s graph, or past its cap e(P)
+for the message, off that walk of J(P).  `count_extensions` and `ideals`
+(so `ideals_lattice` too) run it once per connected component C of P
+(`_components`), over C's elements alone in P's own bits, and combine:
+e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q).  The ideal cap
+is checked against the product of the |J(C)|, which is |J(P)|.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -33,6 +37,7 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Iterator
 
 Word = tuple  # tuple[int, ...], a linear extension as a word
@@ -197,32 +202,52 @@ def _addable(down_sets, mask: int) -> list:
     return [bit for bit, geq, below in down_sets if mask & geq == below]
 
 
-def _joins(P: Poset) -> list:
-    """joins[k], k = 0..p: the down sets (as `_down_sets` gives them), in
-    ascending t, of the elements t that an ideal of size k can gain.  That
-    ideal holds t's strict down-set and nothing above t, so |geq| - 1 <= k
-    <= p - |leq|: each element is filed once under those sizes."""
-    p = P.p
-    joins = [[] for _ in range(p + 1)]
-    for t, down_set in enumerate(_down_sets(P, range(p))):
-        for k in range(down_set[1].bit_count() - 1, p - P.leq_mask[t].bit_count() + 1):
+def _joins(P: Poset, ids) -> list:
+    """joins[k], k = 0..n: the down sets (as `_down_sets` gives them), in
+    ascending t, of the elements t of `ids` (ascending, n of them, a union of
+    P's connected components) that an ideal of size k of J(ids) can gain.
+    That ideal holds t's strict down-set and nothing above t, so
+    |geq| - 1 <= k <= n - |leq|: each element is filed once under those sizes."""
+    n = len(ids)
+    joins = [[] for _ in range(n + 1)]
+    for t, down_set in zip(ids, _down_sets(P, ids)):
+        for k in range(down_set[1].bit_count() - 1, n - P.leq_mask[t].bit_count() + 1):
             joins[k].append(down_set)
     return joins
 
 
-def _ideal_layers(P: Poset, message: str) -> Iterator[dict]:
-    """Walk J(P) upward from the empty ideal, one size at a time.
+def _components(P: Poset) -> list:
+    """The ids of each connected component of P, ascending, the components by
+    least id: one breadth-first search over the covers up and down."""
+    seen = [False] * P.p
+    components = []
+    for s in range(P.p):
+        if not seen[s]:
+            seen[s] = True
+            component = [s]
+            for t in component:  # grows while it is read
+                for u in (*P.up[t], *P.down[t]):
+                    if not seen[u]:
+                        seen[u] = True
+                        component.append(u)
+            components.append(sorted(component))
+    return components
 
-    Yields {mask: number of paths from the empty ideal to mask} per size 0..p,
+
+def _ideal_layers(joins: list, message: str) -> Iterator[dict]:
+    """Walk J(C) upward from the empty ideal, one size at a time, for the
+    elements C that `joins` (as `_joins` gives it) files, in P's own bits.
+
+    Yields {mask: number of paths from the empty ideal to mask} per size 0..|C|,
     holding two layers at a time.  The next layer is built by one pass per
-    element t that `_joins` files under the size of the current one, which
+    element t that `joins` files under the size of the current one, which
     pushes the path count of every ideal that gains t.  CapExceeded(message)
     is raised after the first pass that brings the number of ideals found
     past DEFAULT_IDEAL_CAP.
     """
     layer = {0: 1}
     found = 1
-    for down_sets in _joins(P):
+    for down_sets in joins:
         yield layer
         nxt = {}
         get = nxt.get
@@ -354,7 +379,8 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
     if space is None:
         kids, message = {}, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
         try:
-            for down_sets, layer in zip(_joins(P), _ideal_layers(P, message)):
+            joins = _joins(P, range(P.p))
+            for down_sets, layer in zip(joins, _ideal_layers(joins, message)):
                 paths = sum(layer.values())
                 if paths > cap:  # as is every later sum, so from here the walk only counts
                     kids = None
@@ -376,12 +402,24 @@ def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpac
 
 
 def count_extensions(P: Poset) -> int:
-    """e(P), the number of paths from the empty ideal to P in J(P), by the walk
-    `ideals` reads (CapExceeded past DEFAULT_IDEAL_CAP ideals).  A complete
-    layer's path sum is a lower bound on e(P) = sum over |I| = k of e(I) e(P - I)."""
-    for layer in _ideal_layers(P, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)):
-        pass
-    return layer[(1 << P.p) - 1]
+    """e(P), the number of paths from the empty ideal to P in J(P), one
+    connected component at a time: e(P + Q) = C(p + q, p) e(P) e(Q), the
+    shuffles of a word of P with one of Q.  Each J(C) is walked as `ideals`
+    walks it, and CapExceeded is raised once the product of the |J(C)| passes
+    DEFAULT_IDEAL_CAP, exactly when |J(P)| does.  A complete layer's path sum
+    is a lower bound on e(P) = sum over |I| = k of e(I) e(P - I)."""
+    message = _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
+    e, n, size = 1, 0, 1
+    for ids in _components(P):
+        found = 0
+        for layer in _ideal_layers(_joins(P, ids), message):
+            found += len(layer)
+        size *= found
+        if size > DEFAULT_IDEAL_CAP:
+            raise CapExceeded(message)
+        n += len(ids)
+        e *= comb(n, len(ids)) * layer.popitem()[1]  # J(C)'s top layer holds C alone
+    return e
 
 
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b with its 8 bits reversed
@@ -390,17 +428,35 @@ _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b w
 def ideals(P: Poset) -> list:
     """All order ideals as bitmasks, sorted by (size, lowest-id members).
 
-    Reads the layered walk of J(P) that `count_extensions` reads.
+    J(P + Q) is J(P) x J(Q): the layered walk of each connected component's
+    J(C) is kept as masks by size, CapExceeded is raised once the product of
+    the |J(C)| passes DEFAULT_IDEAL_CAP (exactly when |J(P)| does), and only
+    then are the components joined, size k of the product taking x | y over
+    sizes i + j = k.
     """
+    message = f"more than {DEFAULT_IDEAL_CAP} order ideals"
+    factors, size = [], 1
+    for ids in _components(P):
+        factors.append([list(layer) for layer in _ideal_layers(_joins(P, ids), message)])
+        size *= sum(map(len, factors[-1]))
+        if size > DEFAULT_IDEAL_CAP:
+            raise CapExceeded(message)
+    layers, *factors = factors or [[[0]]]  # J of the empty poset holds the empty ideal alone
+    for factor in factors:
+        product = [[] for _ in range(len(layers) + len(factor) - 1)]
+        for i, xs in enumerate(layers):
+            for j, ys in enumerate(factor):
+                product[i + j] += [x | y for x in xs for y in ys]
+        layers = product
     nbytes = (P.p + 7) // 8
     out = []
-    for layer in _ideal_layers(P, f"more than {DEFAULT_IDEAL_CAP} order ideals"):
+    for layer in layers:
         # Among masks of one size, lex order of the member tuples puts first
         # the mask holding the lowest bit where two differ: the larger key
         # when its bytes run from bit 0 up, each byte's bits reversed, and
         # compare as bytes do, first byte first and high bit first.
-        out.extend(sorted(layer, key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED_BITS),
-                          reverse=True))
+        layer.sort(key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED_BITS), reverse=True)
+        out += layer
     return out
 
 
@@ -421,7 +477,7 @@ def ideals_lattice(P: Poset):
     """
     masks = ideals(P)
     index = {m: i for i, m in enumerate(masks)}
-    joins = _joins(P)
+    joins = _joins(P, range(P.p))
     covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(joins[m.bit_count()], m)]
     lattice = _poset_from_reduced(len(masks), covers)
     members = tuple(frozenset(_mask_members(m)) for m in masks)

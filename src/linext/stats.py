@@ -94,7 +94,7 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     left out of the steps that lead to it.
     """
     full = (1 << P.p) - 1
-    joins = _joins(P)
+    joins = _joins(P, range(P.p))
     above = [_down_sets(P, P.up[s]) for s in range(P.p)]
     expanded, live = {}, {}  # live: {mask: its frozenset} per ideal on a tableau found
 

@@ -173,6 +173,27 @@ def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     assert "40-element" in err and "1000" in err
 
 
+def test_cli_count_on_a_wide_antichain_exits_3_at_once(tmp_path, capsys):
+    # 21 one-element components pass the default ideal cap: the message is the
+    # one walk of all 2^21 ideals gave, and no such walk runs
+    f = tmp_path / "antichain21.poset"
+    f.write_text("p=21\n")
+    code, out, err = run_cli(["count", "--poset", str(f)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: e(P) of a 21-element poset needs more than 1048576 order ideals\n"
+
+
+def test_ideal_lattice_of_a_disconnected_corpus_poset_is_pinned():
+    # chains 0 < 1 and 2 < 3 < 4: J(P) is the 3 x 4 grid, in (size, members) order
+    lattice, members = posets.ideals_lattice(corpus.corpus()["union_c2_c3"])
+    assert [tuple(sorted(m)) for m in members] == [
+        (), (0,), (2,), (0, 1), (0, 2), (2, 3), (0, 1, 2), (0, 2, 3), (2, 3, 4),
+        (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 2, 3, 4)]
+    assert lattice.covers == (
+        (0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (4, 7), (5, 7),
+        (5, 8), (6, 9), (7, 9), (7, 10), (8, 10), (9, 11), (10, 11))
+
+
 def test_cli_le_on_a_wide_poset_names_the_extension_cap(tmp_path, capsys, monkeypatch):
     # the ideal walk overflows; its last complete layer already shows e(P) > --cap
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)

@@ -385,3 +385,21 @@ def test_extension_space_over_its_cap_walks_j_of_p_once(p, ideal_cap, cap, messa
     with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
         posets.extension_space(antichain(p), cap)
     assert len(walks) == 1 and posets._SPACES == {}
+
+
+def test_count_of_a_wide_antichain_stops_at_the_ideal_cap(monkeypatch):
+    # e(P) one component at a time: 21 one-element walks pass the cap, where one
+    # walk of J(P) whole built the 499500 two-element ideals of antichain(1000)
+    yielded, layers = [], posets._ideal_layers
+
+    def counted(joins, message):
+        for layer in layers(joins, message):
+            yielded.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(posets, "_ideal_layers", counted)
+    message = "e(P) of a 1000-element poset needs more than 1048576 order ideals"
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        count_extensions(antichain(1000))
+    assert len(yielded) < 100 and sum(yielded) < 100
+    assert count_extensions(disjoint_union(chain(30), chain(30))) == math.comb(60, 30)

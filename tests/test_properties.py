@@ -19,9 +19,11 @@ from linext.posets import (
     CycleError,
     Shape,
     _ideal_layers,
+    _joins,
     antichain,
     chain,
     count_extensions,
+    disjoint_union,
     dual_poset,
     extension_space,
     ideals,
@@ -325,7 +327,7 @@ def test_ideal_cap_admits_exactly_the_ideal_count(P):
 @given(dag_posets())
 @settings(max_examples=100, deadline=None)
 def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P):
-    for size, layer in enumerate(_ideal_layers(P, "unreachable")):
+    for size, layer in enumerate(_ideal_layers(_joins(P, range(P.p)), "unreachable")):
         for mask, paths in layer.items():
             S = members_of(mask)
             assert len(S) == size
@@ -354,8 +356,52 @@ def all_elements_layers(P) -> list:
 @settings(max_examples=150, deadline=None)
 def test_windowed_walk_matches_the_all_elements_walk(P):
     # same layers, keys, path counts and insertion order, p = 0 included
-    got = [list(layer.items()) for layer in _ideal_layers(P, "unreachable")]
+    got = [list(layer.items()) for layer in _ideal_layers(_joins(P, range(P.p)), "unreachable")]
     assert got == all_elements_layers(P)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """1-3 random posets side by side, the ids of their union shuffled."""
+    parts = draw(st.lists(dag_posets(max_p=4), min_size=1, max_size=3))
+    union = parts[0]
+    for part in parts[1:]:
+        union = disjoint_union(union, part)
+    ids = draw(st.permutations(range(union.p)))
+    return poset_from_covers(union.p, [(ids[s], ids[t]) for s, t in union.covers])
+
+
+def one_walk_reference(P) -> tuple:
+    """(e(P), the ideals by (size, members), |J(P)|) off the all-elements
+    walk of J(P) whole, with no split into connected components."""
+    layers = all_elements_layers(P)
+    masks = [m for layer in layers for m in sorted((m for m, _ in layer), key=members_of)]
+    return layers[-1][0][1], masks, len(masks)
+
+
+@given(st.one_of(disjoint_unions(), st.integers(0, 7).map(antichain)))
+@settings(max_examples=150, deadline=None)
+def test_component_walks_match_one_walk_of_j_of_p_whole(P):
+    e, masks, n = one_walk_reference(P)
+    assert count_extensions(P) == e
+    assert ideals(P) == masks
+    # the space still walks all of J(P), so it is an independent route to e(P)
+    space_cap = 5000
+    if e <= space_cap:
+        assert len(extension_space(P, space_cap).words) == e
+    else:
+        with pytest.raises(CapExceeded, match=f"^e\\(P\\) = {e} exceeds cap {space_cap}$"):
+            extension_space(P, space_cap)
+    for cap in (64, 5):
+        with patch.object(posets, "DEFAULT_IDEAL_CAP", cap):
+            if n > cap:
+                with pytest.raises(CapExceeded, match=f"^e\\(P\\) of a {P.p}-element poset "
+                                                      f"needs more than {cap} order ideals$"):
+                    count_extensions(P)
+                with pytest.raises(CapExceeded, match=f"^more than {cap} order ideals$"):
+                    ideals(P)
+            else:
+                assert (count_extensions(P), ideals(P)) == (e, masks)
 
 
 def brute_force_maximal_chains(P) -> list:

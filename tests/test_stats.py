@@ -119,7 +119,7 @@ def test_dual_domino_walk_expands_each_ideal_once(monkeypatch):
     J = ideals_lattice(shape_poset(Shape((4, 4, 4))))[0]
     calls, entered, joins = [], [], []
     addable, lex_walk, joins_of = stats._addable, stats._lex_walk, stats._joins
-    monkeypatch.setattr(stats, "_joins", lambda P: joins.append(joins_of(P)) or joins[-1])
+    monkeypatch.setattr(stats, "_joins", lambda P, ids: joins.append(joins_of(P, ids)) or joins[-1])
     monkeypatch.setattr(stats, "_addable", lambda down_sets, mask: calls.append((down_sets, mask))
                         or addable(down_sets, mask))
     monkeypatch.setattr(stats, "_lex_walk", lambda root, kids, head: lex_walk(

@@ -4,21 +4,23 @@ Covers the combinatorial tau_i for slender posets, dual domino chains, the
 cross-polytope closed forms on signed permutations, and the linear operator
 tau_i on the chain vector space of an arbitrary graded poset.
 
-Each GradedPoset caches its table of rank-2 interval middles and, when it is
-slender, its maximal chains as a posets.ExtensionSpace: the paths up its
-covers from the bottom, whose tau_i rows come from the rule that fills those
-of L(P).  So chain promotion and (dual) evacuation are lookups in the
+Each GradedPoset caches its table of rank-2 interval middles and its maximal
+chains, slender or not, as a posets.ExtensionSpace: the paths up its covers
+from the bottom, listed once in lex order by one walk.  Every chain listing
+here reads them, a chain is found by bisecting them, and their tau_i rows come
+from the rule that fills those of L(P), which raises unless the poset is
+slender.  So chain promotion and (dual) evacuation are lookups in the
 `operators` arrays that serve linear extensions, grown along the same runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from . import posets
 from .posets import CapExceeded, ExtensionSpace, Poset, _mask_members, _poset_from_reduced
 from .promotion import delta_word, dihedral_group_order, gamma_word
 
@@ -53,17 +55,11 @@ class GradedPoset:
 
     @cached_property
     def space(self) -> ExtensionSpace:
-        """The maximal chains as paths up the covers; raises unless Q is slender."""
-        if not self.slender:
-            raise ValueError("requires a slender poset")
+        """The maximal chains as paths up the covers, in lex order; its tau
+        rows, and so the chain operators, raise unless Q is slender."""
         up, by_rank = self.poset.up, sorted(range(self.poset.p), key=self.rank.__getitem__)
         kids = {x: [(t, t) for t in up[x]] for x in by_rank}
         return ExtensionSpace(self.height, self.bottom, kids, (self.bottom,))
-
-    @cached_property
-    def index(self) -> dict:
-        """{chain: k} over the chains of `space`, for the chain operators."""
-        return {m: k for k, m in enumerate(self.space.words)}
 
 
 def graded_from_poset(P: Poset) -> GradedPoset:
@@ -87,15 +83,17 @@ def graded_from_poset(P: Poset) -> GradedPoset:
 
 def maximal_chains(Q: GradedPoset) -> list:
     """All maximal chains bottom..top, sorted; each has height+1 elements."""
-    return posets.maximal_chains(Q.poset)
+    return list(Q.space.words)
 
 
 def _image(Q: GradedPoset, chain, row) -> tuple:
-    """row's image of `chain` in Q.space; raises unless it is a maximal chain."""
-    k = Q.index.get(tuple(chain))
-    if k is None:
+    """row's image of `chain` in Q.space, found by bisecting its sorted words;
+    raises unless it is a maximal chain."""
+    words, key = Q.space.words, tuple(chain)
+    k = bisect_left(words, key)
+    if k == len(words) or words[k] != key:
         raise ValueError(f"not a maximal chain: {chain}")
-    return Q.space.words[row[k]]
+    return words[row[k]]
 
 
 def tau_chain(Q: GradedPoset, chain: tuple, i: int):

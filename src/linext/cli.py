@@ -139,7 +139,6 @@ def cmd_stats(args):
         ]
         _emit(rows, ("balanced", "thm4a", "thm4b", "even", "odd"), fmt)
         return EXIT_OK
-    raise ParseError(f"unknown stat {args.stat!r}")
 
 
 def cmd_sieve(args):
@@ -181,7 +180,6 @@ def cmd_sieve(args):
         rows = sieve.fixed_point_table(P, cap=args.cap)
         _emit(rows, ("d", "e_d"), fmt)
         return EXIT_OK
-    raise ParseError(f"unknown sieve action {args.action!r}")
 
 
 def cmd_hecke(args):
@@ -228,7 +226,6 @@ def cmd_hecke(args):
             _emit(rows, ("w", "bound", "qm1_order", "status", "tight"), fmt)
             return EXIT_OK if all(r[3] for r in rows_data) else EXIT_FAIL
         raise ParseError("hecke verify needs cid or div")
-    raise ParseError(f"unknown hecke action {args.action!r}")
 
 
 def cmd_slender(args):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .posets import CapExceeded
-from .promotion import gamma_word
+from .promotion import cycle_lengths, gamma_word
 from .ratfunc import (
     ONE_POLY,
     Q_MINUS_1,
@@ -52,17 +52,7 @@ def perm_length(w: Perm) -> int:
 
 def perm_cycles(w: Perm) -> int:
     """Number of cycles (fixed points count)."""
-    n = len(w)
-    seen = [False] * n
-    k = 0
-    for i in range(n):
-        if not seen[i]:
-            k += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j] - 1
-    return k
+    return len(cycle_lengths([x - 1 for x in w]))
 
 
 def reversal(w: Perm) -> Perm:

@@ -25,7 +25,7 @@ is checked against the product of the |J(C)|, which is |J(P)|.
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
-chains of a slender poset, read by one iterative walk that yields leaves alone
+chains of a graded poset, read by one iterative walk that yields leaves alone
 (`_lex_walk`, which also reads maximal chains and dual domino tableaux).  Its
 tau_i rows swap equal blocks of paths, found one depth at a time, and promote,
 evacuate and dual_evacuate grow from them along Stanley's runs tau_1 ... tau_m.
@@ -141,10 +141,12 @@ def _reduce(leq_mask, geq_mask) -> list:
 def poset_from_covers(p: int, covers) -> Poset:
     """Build a poset from relation pairs; applies transitive reduction.
 
-    Rejects out-of-range ids and cycles (with a cycle witness).  A cover of
-    the closure is one of the input pairs, so only those are tested, and
-    repeated pairs are dropped.
+    Rejects a negative element count, out-of-range ids and cycles (with a
+    cycle witness).  A cover of the closure is one of the input pairs, so
+    only those are tested, and repeated pairs are dropped.
     """
+    if p < 0:
+        raise ValueError(f"a poset needs p >= 0 elements, not p = {p}")
     for s, t in covers:
         if not (0 <= s < p and 0 <= t < p):
             raise ValueError(f"pair ({s},{t}) references an id outside 0..{p - 1}")
@@ -306,7 +308,9 @@ class ExtensionSpace:
         """Row i swaps the count[z] words through x -> y -> z with those through x -> y' -> z
         (x at depth i - 1, children y < y' of x): blocks[x] lists their offsets past x's
         first word and count[z], and live[x] the (offset, child) pairs that lead to blocks.
-        The live nodes are walked one depth at a time, so row i is filled at depth i - 1."""
+        The live nodes are walked one depth at a time, so row i is filled at depth i - 1.
+        The graph must be slender, no x and z with three such y between them, which J(P),
+        a distributive lattice, always is; otherwise ValueError, on every access."""
         kids, count, blocks, live = self.kids, {}, {}, {}
         for x in reversed(kids):
             first, alive, off = {}, [], 0
@@ -315,10 +319,13 @@ class ExtensionSpace:
                     alive.append((off, y))
                 at = off
                 for _, z in kids[y]:
-                    if z in first:
-                        blocks.setdefault(x, []).append((first[z], at, count[z]))
-                    else:
+                    if z not in first:
                         first[z] = at
+                    elif first[z] is None:  # a third y between x and z
+                        raise ValueError("requires a slender poset")
+                    else:
+                        blocks.setdefault(x, []).append((first[z], at, count[z]))
+                        first[z] = None  # spent: its block is paired
                     at += count[z]
                 off += count[y]
             count[x], live[x] = off or 1, alive

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linext import posets
 from linext.chains import (
     ChainVector,
     GradedPoset,
@@ -33,7 +34,7 @@ from linext.chains import (
 )
 from linext.corpus import boolean_lattice, weak_order_s3
 from linext.flags import subspace_lattice
-from linext.posets import Shape, ideals_lattice, shape_poset
+from linext.posets import ExtensionSpace, Shape, ideals_lattice, shape_poset
 from linext.posets import chain as chain_poset
 from linext.posets import poset_from_covers
 from linext.stats import self_evacuating
@@ -158,6 +159,39 @@ def test_non_slender_rejected_on_every_call():
             with pytest.raises(ValueError, match="slender"):
                 call()
     assert not Q.slender
+
+
+def test_chain_listings_and_operators_share_one_walk(monkeypatch):
+    walks = []
+    lex_walk = posets._lex_walk
+
+    def counted(*args):
+        walks.append(args[0])
+        return lex_walk(*args)
+
+    monkeypatch.setattr(posets, "_lex_walk", counted)
+    Q = graded(boolean_lattice(4))
+    ms = maximal_chains(Q)
+    assert len(ms) == 24
+    assert dual_domino_chains(Q) == []
+    assert self_evacuating_chains(Q) == []
+    m = ms[5]
+    for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
+        assert op(Q, m) in ms
+    assert tau_chain(Q, m, 1) in ms
+    assert walks == [Q.bottom]
+    assert not hasattr(Q, "index")
+
+
+def test_extension_space_lists_a_non_slender_graph_and_rejects_its_tau():
+    Q = subspace_lattice(2, 2).graded  # [0, F_2^2]: three middles
+    space = Q.space
+    assert isinstance(space, ExtensionSpace)
+    assert space.words == tuple((Q.bottom, t, Q.top) for t in Q.poset.up[Q.bottom])
+    assert len(space.words) == 3
+    for _ in range(2):
+        with pytest.raises(ValueError, match="slender"):
+            space.tau
 
 
 def test_non_maximal_chain_rejected():

@@ -1,5 +1,6 @@
 """File formats and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from linext import cli, corpus, hecke, posets
+from linext import cli, corpus, flags, hecke, posets
 from linext.cli import main
 from linext.io import (
     ParseError,
@@ -181,6 +182,14 @@ def test_cli_count_on_a_wide_antichain_exits_3_at_once(tmp_path, capsys):
     code, out, err = run_cli(["count", "--poset", str(f)], capsys)
     assert (code, out) == (3, "")
     assert err == "cap exceeded: e(P) of a 21-element poset needs more than 1048576 order ideals\n"
+
+
+@pytest.mark.parametrize("verb", [["count"], ["le"], ["orbits"], ["dihedral"], ["stats", "selfevac"]])
+def test_cli_negative_element_count_is_a_usage_error(verb, tmp_path, capsys):
+    f = tmp_path / "negative.poset"
+    f.write_text("p=-3\n")
+    code, out, err = run_cli([*verb, "--poset", str(f)], capsys)
+    assert (code, out, err) == (2, "", "error: a poset needs p >= 0 elements, not p = -3\n")
 
 
 def test_ideal_lattice_of_a_disconnected_corpus_poset_is_pinned():
@@ -412,3 +421,43 @@ def test_cli_arithmetic_fault_exits_1_as_internal_error(fault, capsys, monkeypat
     code, out, err = run_cli(["hecke", "verify", "div", "--n", "3"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("internal error: ")
+
+
+def _chain_verb_commands(tmp_path) -> dict:
+    """Verb group -> argv lists of the chain verbs, each in tsv and in json."""
+    files = []
+    for n in (2, 3):  # B_n(2), not slender: [0, F_2^2] has 3 middles
+        path = tmp_path / f"b{n}2.poset"
+        path.write_text(dump_poset(flags.subspace_lattice(n, 2).graded.poset))
+        files.append(str(path))
+    groups = {
+        "slender": [["slender", f"corpus:{name}"] for name in corpus.corpus()]
+        + [["slender", path] for path in files],
+        "crosspoly": [["crosspoly", "--n", str(n)] for n in (1, 2, 3, 4, 5, 7)],
+        "flags": [["flags", "--n", str(n), "--q", str(q)]
+                  for n, q in ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3))],
+        "flags --verify-hecke": [["flags", "--n", str(n), "--q", str(q), "--verify-hecke"]
+                                 for n, q in ((2, 2), (2, 3), (3, 2))],
+    }
+    return {group: [[*argv, "--format", fmt] for argv in cmds for fmt in ("tsv", "json")]
+            for group, cmds in groups.items()}
+
+
+# SHA-256 prefixes, per verb group, of (exit code, stdout, stderr) of each
+# command of _chain_verb_commands run through cli.main
+CHAIN_VERB_DIGESTS = {
+    "slender": "840d7be940b3a6d2",
+    "crosspoly": "e075a9e693df8f26",
+    "flags": "bee4846584d432a4",
+    "flags --verify-hecke": "528859341749ae12",
+}
+
+
+def test_chain_verbs_are_pinned_by_digest(tmp_path, capsys):
+    got = {}
+    for group, cmds in _chain_verb_commands(tmp_path).items():
+        h = hashlib.sha256()
+        for argv in cmds:
+            h.update(repr(run_cli(argv, capsys)).encode())
+        got[group] = h.hexdigest()[:16]
+    assert got == CHAIN_VERB_DIGESTS

@@ -109,7 +109,7 @@ def cmd_stats(args):
     Q, relabel = natural_relabel(P)
     fmt = args.format
     if args.stat == "wprime":
-        poly = stats.wprime_poly(Q, cap=args.cap)
+        poly = stats.wprime_poly(Q)
         if fmt == "json":
             print(json.dumps({"coeffs": list(poly)}))
         else:
@@ -133,7 +133,7 @@ def cmd_stats(args):
         _emit(rows, ("extension",), fmt)
         return EXIT_OK
     if args.stat == "signbalance":
-        rep = stats.sign_balance_report(Q, cap=args.cap)
+        rep = stats.sign_balance_report(Q)
         rows = [
             (rep.balanced, rep.thm4a_applies, rep.thm4b_applies, rep.even, rep.odd)
         ]
@@ -145,7 +145,7 @@ def cmd_sieve(args):
     fmt = args.format
     if args.action == "F":
         s = parse_shape(args.shape)
-        poly = sieve.F_poly(s, cap=args.cap)
+        poly = sieve.F_poly(s)
         if fmt == "json":
             print(json.dumps({"coeffs": list(poly)}))
         else:
@@ -299,7 +299,8 @@ def _global_options(suppress: bool) -> argparse.ArgumentParser:
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--format", choices=("tsv", "json"), default=default("tsv"))
     g.add_argument("--cap", type=_positive_int, default=default(DEFAULT_EXTENSION_CAP),
-                   help="cap on e(P) and on the dual domino tableaux")
+                   help="cap on e(P) and on the dual domino tableaux; stats wprime, "
+                   "stats signbalance and sieve F list no word and are bounded by the ideal cap alone")
     g.add_argument("--hecke-cap", type=_positive_int, default=default(DEFAULT_HECKE_CAP))
     return g
 

@@ -21,7 +21,9 @@ for the message, off that walk of J(P).  `count_extensions` and `ideals`
 (so `ideals_lattice` too) run it once per connected component C of P
 (`_components`), over C's elements alone in P's own bits, and combine:
 e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q).  The ideal cap
-is checked against the product of the |J(C)|, which is |J(P)|.
+is checked against the product of the |J(C)|, which is |J(P)|.  Its weighted
+sibling `_path_sums` walks J(P) whole over (ideal, last element) states, one
+packed polynomial each, for the statistics that need no word of L(P).
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -38,6 +40,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 Word = tuple  # tuple[int, ...], a linear extension as a word
@@ -264,6 +267,46 @@ def _ideal_layers(joins: list, message: str) -> Iterator[dict]:
         layer = nxt
 
 
+def _path_sums(P: Poset, weight) -> list:
+    """[c_0, c_1, ...]: c_k the number of words of L(P) whose steps' weights
+    sum to k, weight(I, last, t) that of the step adding t to the ideal I whose
+    last element is `last` (-1 before the first step).
+
+    One walk of J(P) over (ideal, last element) states, one size at a time,
+    each state asking the elements that `_joins` files under its size.  A
+    state holds its polynomial packed into one int, coefficient k from bit
+    k * width up, with width = e(P).bit_length() + 1, as no count passes e(P).
+    count_extensions, run first, applies the ideal cap.  CapExceeded is raised
+    once the states built pass DEFAULT_IDEAL_CAP, or once the bits of the
+    polynomials built, summed after each pass, pass 2048 per such state
+    (256 MiB at the default): a state's polynomial can hold C(p, 2) + 1
+    coefficients, so the states alone do not bound the walk.
+    """
+    width = count_extensions(P).bit_length() + 1
+    budget = DEFAULT_IDEAL_CAP << 11
+    message = (f"path sums over J(P) of a {P.p}-element poset need more than "
+               f"{DEFAULT_IDEAL_CAP} states or {budget} bits")
+    layer, found, bits = {(0, -1): 1}, 1, 0
+    for down_sets in _joins(P, range(P.p))[:P.p]:
+        nxt = {}
+        get = nxt.get
+        for bit, geq, below in down_sets:
+            t = bit.bit_length() - 1
+            for (mask, last), poly in layer.items():
+                if mask & geq == below:
+                    key = mask | bit, t
+                    nxt[key] = get(key, 0) + (poly << weight(mask, last, t) * width)
+            if found + len(nxt) > DEFAULT_IDEAL_CAP:
+                raise CapExceeded(message)
+        found += len(nxt)
+        bits += sum(map(int.bit_length, nxt.values()))
+        if bits > budget:
+            raise CapExceeded(message)
+        layer = nxt
+    total = sum(layer.values())
+    return [total >> k * width & (1 << width) - 1 for k in range(total.bit_length() // width + 1)]
+
+
 def _lex_walk(root, kids, head: tuple = ()) -> Iterator[tuple]:
     """Depth first from `root` over kids(x), the (letter, child) pairs of x in
     lex order, on a stack of iterators: yields (path, x) at each leaf x, path
@@ -360,11 +403,14 @@ class ExtensionSpace:
     def _runs(self, rows) -> tuple:
         """(D, G) over rows t_1 .. t_r: D = t_1 ... t_r and G = D_r ... D_1 with
         D_m = t_1 ... t_m, two passes per row (right action, so t_m acts after
-        D_{m-1} and D_m before G_{m-1})."""
+        D_{m-1} and D_m before G_{m-1}), each an itemgetter gather.  With at
+        most one word both are the identity (itemgetter of one index returns
+        no tuple)."""
         d = g = range(len(self.words))
-        for t in rows:
-            d = [t[k] for k in d]
-            g = [g[k] for k in d]
+        if len(d) > 1:
+            for t in rows:
+                d = itemgetter(*d)(t)
+                g = itemgetter(*d)(g)
         return array("i", d), array("i", g)
 
     def fixed_points(self, name: str) -> list:

@@ -1,9 +1,10 @@
 """Hook lengths, tableau major index, F(q) and the cyclic sieving checks.
 
 F(q) is computed two ways on rectangles: by summing q^maj over the standard
-tableaux and by the hook-length closed form; the root-of-unity evaluation is
-exact cyclotomic arithmetic, so the sieving identity e_d = F(zeta^d) is
-checked with zero tolerance.
+tableaux and by the hook-length closed form.  Elsewhere F_poly reads it as
+a path sum over J(P) (`posets._path_sums`), listing no tableau.  The
+root-of-unity evaluation is exact cyclotomic arithmetic, so the sieving
+identity e_d = F(zeta^d) is checked with zero tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .posets import (
     Poset,
     Shape,
     Word,
+    _path_sums,
     extension_space,
     linear_extensions,
     shape_poset,
@@ -63,11 +65,11 @@ def maj_tableau(s: Shape, word: Word) -> int:
     return _maj(_row_table(s), word)
 
 
-def f_poly_sum(s: Shape, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
+def f_poly_sum(s: Shape) -> IntPoly:
     """F(q) = sum of q^maj over standard tableaux of the shape."""
     rows = _row_table(s)
     coeffs = [0] * (s.size * s.size + 1)
-    for w in linear_extensions(shape_poset(s), cap=cap):
+    for w in linear_extensions(shape_poset(s)):
         coeffs[_maj(rows, w)] += 1
     return pnorm(coeffs)
 
@@ -97,11 +99,16 @@ def _one_minus_qk(k: int) -> IntPoly:
     return pnorm((1,) + (0,) * (k - 1) + (-1,))
 
 
-def F_poly(s: Shape, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
-    """F(q): by hooks on rectangles, by summing maj elsewhere."""
+def F_poly(s: Shape) -> IntPoly:
+    """F(q): by hooks on rectangles, elsewhere as the path sum over J(P) in
+    which the step putting t in a lower row than `last`, after i cells,
+    weighs i.  The first step reads rows[-1], the last cell's row, for
+    last = -1, and weighs 0 whatever it finds, as i = 0."""
     if not s.shifted and len(set(s.rows)) == 1:
         return f_poly_hook(s)
-    return f_poly_sum(s, cap=cap)
+    rows = _row_table(s)
+    return pnorm(_path_sums(shape_poset(s),
+                            lambda mask, last, t: mask.bit_count() if rows[t] > rows[last] else 0))
 
 
 def eval_at_root(F: IntPoly, p: int, d: int) -> int:

@@ -5,9 +5,10 @@ refines the integer order on ids).  Entry points that take an arbitrary
 poset relabel it first via natural_relabel; W'_P only depends on P up to
 isomorphism, so this is harmless.
 
-The per-word statistics read L(P) from the poset's cached ExtensionSpace
-(through the capped `linear_extensions`), and the self-evacuating words
-are the fixed points of evacuation's index array on it.
+W'_P, W_P and the sign census read no word of L(P): each is a path sum over
+J(P) (`posets._path_sums`), the weight of a step set by the letter it adds
+and the one before it.  The self-evacuating words are the fixed points of
+evacuation's index array on the poset's cached ExtensionSpace.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .posets import (
     _joins,
     _lex_walk,
     _mask_members,
+    _path_sums,
     extension_space,
     is_natural,
-    linear_extensions,
 )
-from .promotion import odd_falling_word, tau_word
+from .promotion import cycle_lengths, odd_falling_word, tau_word
 from .ratfunc import IntPoly, pnorm
 
 
@@ -42,15 +43,10 @@ def _require_natural(P: Poset):
         raise NotNaturalError("poset is not a natural partial order; relabel first")
 
 
-def _descents(word: Word) -> list:
-    """The 1-based positions i with a_i > a_{i+1}."""
-    return [i for i in range(1, len(word)) if word[i - 1] > word[i]]
-
-
 def descent_set(P: Poset, word: Word) -> frozenset:
     """D(w) = {i : a_i > a_{i+1}} (1-based positions, natural labels)."""
     _require_natural(P)
-    return frozenset(_descents(word))
+    return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
 def comaj(P: Poset, word: Word) -> int:
@@ -62,23 +58,18 @@ def maj(P: Poset, word: Word) -> int:
     return sum(descent_set(P, word))
 
 
-def wprime_poly(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> IntPoly:
-    """W'_P(x) = sum over linear extensions of x^comaj."""
+def wprime_poly(P: Poset) -> IntPoly:
+    """W'_P(x) = sum over linear extensions of x^comaj: the path sum over J(P)
+    in which the step adding t < last to an ideal of size i weighs p - i."""
     _require_natural(P)
     p = P.p
-    coeffs = [0] * (p * (p - 1) // 2 + 1)
-    for w in linear_extensions(P, cap=cap):
-        coeffs[sum(p - i for i in _descents(w))] += 1
-    return pnorm(coeffs)
+    return pnorm(_path_sums(P, lambda mask, last, t: p - mask.bit_count() if t < last else 0))
 
 
 def w_poly(P: Poset) -> IntPoly:
-    """W_P(x), the maj variant."""
+    """W_P(x), the maj variant: that step weighs i."""
     _require_natural(P)
-    coeffs = [0] * (P.p * (P.p - 1) // 2 + 1)
-    for w in linear_extensions(P):
-        coeffs[sum(_descents(w))] += 1
-    return pnorm(coeffs)
+    return pnorm(_path_sums(P, lambda mask, last, t: mask.bit_count() if t < last else 0))
 
 
 def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
@@ -166,16 +157,7 @@ def extension_parity(word: Word) -> int:
 
     A permutation of n ids with c cycles is a product of n - c transpositions.
     """
-    seen = [False] * len(word)
-    cycles = 0
-    for start in range(len(word)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = word[i]
-    return (len(word) - cycles) % 2
+    return (len(word) - len(cycle_lengths(word))) % 2
 
 
 @dataclass(frozen=True)
@@ -187,8 +169,13 @@ class SignBalanceReport:
     odd: int
 
 
-def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalanceReport:
-    """Brute-force parity census plus the two sign-balance hypotheses.
+def sign_balance_report(P: Poset) -> SignBalanceReport:
+    """The parity census of L(P) plus the two sign-balance hypotheses.
+
+    The census is a path sum over J(P): the step adding t to an ideal I adds
+    the |I & {t+1, ..., p-1}| inversions of t with the letters before it, and
+    only their parity is kept, so even and odd are the sums of the even and
+    the odd coefficients.
 
     (a) every maximal chain length l (edge count) satisfies p = l mod 2;
     (b) for every t the maximal chains of the principal ideal below t have
@@ -202,9 +189,8 @@ def sign_balance_report(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> SignBalan
     each t, the parities of their lengths (bit k for length = k mod 2) and
     the longest length.
     """
-    parities = [extension_parity(w) for w in linear_extensions(P, cap=cap)]
-    odd = sum(parities)
-    even = len(parities) - odd
+    parities = _path_sums(P, lambda mask, last, t: (mask >> t).bit_count() & 1)
+    even, odd = sum(parities[0::2]), sum(parities[1::2])
 
     p = P.p
     parity, longest = [0] * p, [0] * p

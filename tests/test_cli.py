@@ -461,3 +461,99 @@ def test_chain_verbs_are_pinned_by_digest(tmp_path, capsys):
             h.update(repr(run_cli(argv, capsys)).encode())
         got[group] = h.hexdigest()[:16]
     assert got == CHAIN_VERB_DIGESTS
+
+
+def _statistic_verb_commands(tmp_path) -> dict:
+    """Verb group -> argv lists of the statistic verbs, each in tsv and in
+    json: every corpus poset and a few shapes, none past a cap."""
+    empty = tmp_path / "empty.poset"
+    empty.write_text("p=0\n")
+    posets_ = [f"corpus:{name}" for name in corpus.corpus()] + [str(empty)]
+    shapes = ["shape:3,3", "shape:4,2,1", "shape:3,3,3", "shifted:4,2", "shifted:5,3,1"]
+    inputs = [["--poset", P] for P in posets_] + [["--shape", s] for s in shapes]
+    groups = {
+        "stats wprime": [["stats", "wprime", *i] for i in inputs],
+        "stats signbalance": [["stats", "signbalance", *i] for i in inputs],
+        "sieve F": [["sieve", "F", "--shape", s] for s in (
+            "shape:1", "shape:2,2", "shape:3,3", "shape:2,2,2,2", "shape:4,4,4",  # rectangles
+            "shape:2,1", "shape:3,2,1", "shape:4,3,2,1",  # staircases
+            "shape:3,1", "shape:4,2,1", "shape:5,3,3",
+            "shifted:1", "shifted:3,1", "shifted:4,2", "shifted:5,3,1", "shifted:6,4,2")],
+        "verify": [["verify", "thm4"], ["verify", "thm5"]],
+    }
+    return {group: [[*argv, "--format", fmt] for argv in cmds for fmt in ("tsv", "json")]
+            for group, cmds in groups.items()}
+
+
+# SHA-256 prefixes, per verb group, of (exit code, stdout, stderr) of each
+# command of _statistic_verb_commands run through cli.main
+STATISTIC_VERB_DIGESTS = {
+    "stats wprime": "9e7d9936a31e03af",
+    "stats signbalance": "e14959665956f429",
+    "sieve F": "4403e057d9a11ef7",
+    "verify": "322e3ec0606530f3",
+}
+
+
+def test_statistic_verbs_are_pinned_by_digest(tmp_path, capsys):
+    got = {}
+    for group, cmds in _statistic_verb_commands(tmp_path).items():
+        h = hashlib.sha256()
+        for argv in cmds:
+            result = run_cli(argv, capsys)
+            assert result[0] == 0, argv
+            h.update(repr(result).encode())
+        got[group] = h.hexdigest()[:16]
+    assert got == STATISTIC_VERB_DIGESTS
+
+
+def test_statistic_verbs_answer_past_the_extension_cap(capsys, monkeypatch):
+    # path sums over J(P) list no word: e(P) = 7646001090 and 1100742656 are
+    # far past --cap, and the first two build no ExtensionSpace at all
+    monkeypatch.setattr(posets, "_SPACES", {})
+    built = []
+    build = posets.ExtensionSpace
+    monkeypatch.setattr(posets, "ExtensionSpace", lambda *args: built.append(args) or build(*args))
+    code, out, _ = run_cli(["stats", "wprime", "--shape", "shape:10,10,10", "--format", "json"], capsys)
+    assert code == 0 and sum(json.loads(out)["coeffs"]) == 7646001090
+    code, out, _ = run_cli(["stats", "signbalance", "--shape", "shape:10,10,10", "--format", "json"],
+                           capsys)
+    [row] = json.loads(out)
+    assert code == 0 and (row["even"], row["odd"]) == (3822999908, 3823001182)
+    assert built == []
+    code, out, _ = run_cli(["sieve", "F", "--shape", "shape:6,5,4,3,2,1", "--format", "json"], capsys)
+    assert code == 0 and sum(json.loads(out)["coeffs"]) == 1100742656
+
+
+def _chains_file(path, n, m):
+    """n disjoint m-element chains, written as a poset file."""
+    covers = [f"{m * c + i}<{m * c + i + 1}" for c in range(n) for i in range(m - 1)]
+    path.write_text("\n".join([f"p={n * m}"] + covers) + "\n")
+    return str(path)
+
+
+def test_statistic_walk_exits_3_at_its_caps(tmp_path, capsys, monkeypatch):
+    # four 25-element chains: 456976 ideals pass the ideal cap, and W'_P's
+    # polynomials pass the bit budget on the 18th of 100 passes, at 23941
+    # states; the state cap alone would let them grow to gigabytes first
+    f = _chains_file(tmp_path / "c4x25.poset", 4, 25)
+    assert run_cli(["stats", "wprime", "--poset", f], capsys) == (
+        3, "", "cap exceeded: path sums over J(P) of a 100-element poset "
+        "need more than 1048576 states or 2147483648 bits\n")
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 2000)  # and 2000 * 2048 bits
+    message = ("cap exceeded: path sums over J(P) of a {}-element poset "
+               "need more than 2000 states or 4096000 bits\n")
+    # antichain(10): 1024 ideals pass the cap, its 5121 (ideal, last) states do not
+    f = tmp_path / "a10.poset"
+    f.write_text("p=10\n")
+    code, out, _ = run_cli(["count", "--poset", str(f)], capsys)
+    assert (code, out) == (0, "e\n3628800\n")
+    for stat in ("wprime", "signbalance"):
+        assert run_cli(["stats", stat, "--poset", str(f)], capsys) == (3, "", message.format(10))
+    # two 20-element chains: 441 ideals and 841 states pass, but W'_P's
+    # polynomials take 6389040 bits; the sign census's take 318992
+    f = _chains_file(tmp_path / "c2x20.poset", 2, 20)
+    assert run_cli(["stats", "wprime", "--poset", f], capsys) == (3, "", message.format(40))
+    code, out, _ = run_cli(["stats", "signbalance", "--poset", f, "--format", "json"], capsys)
+    [row] = json.loads(out)
+    assert code == 0 and row["even"] + row["odd"] == 137846528820

@@ -55,11 +55,12 @@ from linext.promotion import (
     tau_word,
 )
 from linext.ratfunc import pnorm
-from linext.sieve import f_poly_sum, maj_tableau
+from linext.sieve import F_poly, f_poly_sum, maj_tableau
 from linext.stats import (
     comaj,
     domino_word,
     dual_domino_tableaux,
+    extension_parity,
     is_dual_domino_word,
     maj,
     self_evacuating,
@@ -441,6 +442,20 @@ def test_w_polys_are_descent_censuses(P):
 def test_f_poly_sum_is_the_maj_census(s):
     words = list(linear_extensions(shape_poset(s)))
     assert f_poly_sum(s) == census([maj_tableau(s, w) for w in words])
+
+
+@given(shapes())
+@settings(max_examples=60, deadline=None)
+def test_f_poly_path_sum_is_the_tableau_sum(s):
+    assert F_poly(s) == f_poly_sum(s)
+
+
+@given(dag_posets())
+@settings(max_examples=150, deadline=None)
+def test_sign_census_path_sum_is_the_parity_census(P):
+    odd = sum(extension_parity(w) for w in linear_extensions(P))
+    rep = sign_balance_report(P)
+    assert (rep.even, rep.odd) == (count_extensions(P) - odd, odd)
 
 
 def sign_balance_hypotheses_by_chains(P) -> tuple:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from .posets import CapExceeded, ExtensionSpace, Poset, _mask_members, _poset_from_reduced
 from .promotion import delta_word, dihedral_group_order, gamma_word
@@ -249,32 +250,41 @@ def signed_group_order(n: int) -> int:
 
 
 class ChainVector:
-    """Finitely supported map MaxChain -> Fraction."""
+    """Finitely supported map MaxChain -> Fraction: nonzero integer numerators
+    `terms` over one positive denominator `den`, reduced by one gcd."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: dict = None):
-        self.terms = {
-            m: c if isinstance(c, Fraction) else Fraction(c)
-            for m, c in (terms or {}).items() if c
-        }
+        values = {m: Fraction(c) for m, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in values.values()))
+        self._reduce({m: c.numerator * (den // c.denominator) for m, c in values.items()}, den)
+
+    def _reduce(self, nums: dict, den: int) -> "ChainVector":
+        """Set self to nums / den in reduced form, and return it."""
+        nums = {m: c for m, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        self.terms, self.den = {m: c // g for m, c in nums.items()}, den // g
+        return self
 
     @staticmethod
     def basis(chain) -> "ChainVector":
-        return ChainVector({tuple(chain): Fraction(1)})
+        return ChainVector({tuple(chain): 1})
 
     def coeff(self, chain) -> Fraction:
-        return self.terms.get(tuple(chain), Fraction(0))
+        return Fraction(self.terms.get(tuple(chain), 0), self.den)
 
     def __add__(self, other: "ChainVector") -> "ChainVector":
-        out = dict(self.terms)
+        den = lcm(self.den, other.den)
+        out = {m: c * (den // self.den) for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return ChainVector(out)
+            out[m] = out.get(m, 0) + c * (den // other.den)
+        return ChainVector.__new__(ChainVector)._reduce(out, den)
 
     def scale(self, c) -> "ChainVector":
         c = Fraction(c)
-        return ChainVector({m: x * c for m, x in self.terms.items()})
+        return ChainVector.__new__(ChainVector)._reduce(
+            {m: x * c.numerator for m, x in self.terms.items()}, self.den * c.denominator)
 
     def __sub__(self, other: "ChainVector") -> "ChainVector":
         return self + other.scale(-1)
@@ -282,10 +292,10 @@ class ChainVector:
     def __eq__(self, other):
         if not isinstance(other, ChainVector):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.terms, self.den) == (other.terms, other.den)
 
     def __repr__(self):
-        return f"ChainVector({self.terms})"
+        return f"ChainVector({dict((m, self.coeff(m)) for m in self.terms)})"
 
 
 def chain_neighbors(Q: GradedPoset, chain: tuple, i: int) -> list:
@@ -301,30 +311,22 @@ def chain_neighbors(Q: GradedPoset, chain: tuple, i: int) -> list:
 def linear_tau(Q: GradedPoset, v: ChainVector, i: int) -> ChainVector:
     """m tau_i = ((q-1) m - 2 sum N_i(m)) / (q+1) with q = #N_i(m).
 
-    Chains with q = 0 are fixed.
+    Chains with q = 0 are fixed.  On integer numerators: the image's
+    denominator is v's times the lcm L of the (q+1) met, so a chain with q
+    neighbours stays with weight (q-1) L/(q+1) and sends -2 L/(q+1) to each.
     """
     if not 1 <= i <= Q.height - 1:
         raise IndexError(f"tau index {i} out of range 1..{Q.height - 1}")
+    rows = [(m, c, chain_neighbors(Q, m, i)) for m, c in v.terms.items()]
+    L = lcm(*(len(nbrs) + 1 for _, _, nbrs in rows))
     out = {}
-    pairs = {}  # q -> ((q-1)/(q+1), -2/(q+1)), made once per q
-
-    def acc(m, c):
-        if c:
-            out[m] = out[m] + c if m in out else c
-
-    for m, c in v.terms.items():
-        nbrs = chain_neighbors(Q, m, i)
-        q = len(nbrs)
-        if q == 0:
-            acc(m, c)
-            continue
-        if q not in pairs:
-            pairs[q] = (Fraction(q - 1, q + 1), Fraction(-2, q + 1))
-        stay, move = pairs[q]
-        acc(m, c * stay)
+    get = out.get
+    for m, c, nbrs in rows:
+        c *= L // (len(nbrs) + 1)
+        out[m] = get(m, 0) + (len(nbrs) - 1 if nbrs else 1) * c
         for m2 in nbrs:
-            acc(m2, c * move)
-    return ChainVector(out)
+            out[m2] = get(m2, 0) - 2 * c
+    return ChainVector.__new__(ChainVector)._reduce(out, v.den * L)
 
 
 def promote_chains(Q: GradedPoset, v: ChainVector) -> ChainVector:

@@ -5,12 +5,15 @@ The evacuation element E_1...E_{n-1} E_1...E_{n-2} ... E_1 is expanded with
 integer-polynomial coefficients (every generator product is denominator-free)
 and the global (q+1)^C(n,2) denominator is divided out at the end.  While
 expanding, each coefficient is one Python int, the polynomial's value at
-q = 2^B (Kronecker substitution), so a letter costs shifts and adds; the
-polynomials are read back off their signed base-2^B digits once, at the end.
+q = 2^B (Kronecker substitution), so a letter costs shifts and adds.  Each
+(q+1) comes off that int as a factor 2^B + 1, then each numerator is read
+back off its signed base-2^B digits, once; by Mignotte's factor bound both
+steps are exact (von zur Gathen-Gerhard, Modern Computer Algebra, 6.6, 8.4).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -26,6 +29,7 @@ from .ratfunc import (
     IntPoly,
     RatFunc,
     _qp1_power,
+    _split_content,
     pnorm,
     ppow,
     qm1_order,
@@ -58,16 +62,6 @@ def perm_cycles(w: Perm) -> int:
 def reversal(w: Perm) -> Perm:
     """w-hat, the reversal of the one-line word (= w0 w)."""
     return w[::-1]
-
-
-def apply_s_right(w: Perm, i: int) -> Perm:
-    """w s_i: swap the entries in positions i, i+1 (1-based)."""
-    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-
-
-def has_right_ascent(w: Perm, i: int) -> bool:
-    """l(w s_i) = l(w) + 1 iff w(i) < w(i+1)."""
-    return w[i - 1] < w[i]
 
 
 def reduced_word(w: Perm) -> tuple:
@@ -139,8 +133,8 @@ class HeckeElt:
                 out[w] = out.get(w, RF_ZERO) + c
 
         for u, c in self.terms.items():
-            v = apply_s_right(u, i)
-            if has_right_ascent(u, i):
+            v = u[:i - 1] + (u[i], u[i - 1]) + u[i + 1:]  # u s_i
+            if u[i - 1] < u[i]:  # l(u s_i) = l(u) + 1
                 acc(v, c)
             else:
                 acc(v, c * RF_Q)
@@ -181,8 +175,15 @@ def e_i(n: int, i: int) -> HeckeElt:
 
 
 def _pack_width(n: int) -> int:
-    """B = 2 C(n,2) + 2, the digit width in bits of the packed expansion."""
-    return n * (n - 1) + 2
+    """B = 3 C(n,2) + 2, the digit width in bits of the packed expansion.
+
+    A numerator c of _expand_packed(n) has deg c <= C(n,2) and |c|_2 <= |c|_1
+    <= 2^(2 C(n,2)).  A quotient d = c / (q+1)^j in Z[q] has c's Mahler
+    measure, as (q+1) has measure 1, so by Mignotte's bound |d|_1 <=
+    2^(deg d) |c|_2 <= 2^(3 C(n,2)) < 2^(B-1).  So _unpack reads d off d(2^B)
+    exactly, and d(2^B) = d(-1) mod 2^B + 1 is 0 just when (q+1) divides d.
+    """
+    return 3 * (n * (n - 1) // 2) + 2
 
 
 def _unpack(x: int, width: int) -> IntPoly:
@@ -199,20 +200,20 @@ def _unpack(x: int, width: int) -> IntPoly:
     return tuple(digits)
 
 
-def _expand_numerators(n: int) -> dict:
+def _expand_packed(n: int) -> dict:
     """Expand prod (q - 1 - 2 T_i) over the evacuation word gamma of w0.
 
-    Returns {w: IntPoly}; dividing each entry by (q+1)^C(n,2) gives c_w(q).
-    Zero entries are kept where terms cancel at the last letter.
+    Returns {w: c(2^B)} for B = _pack_width(n); dividing each numerator c by
+    (q+1)^C(n,2) gives c_w(q).  Zero entries are kept where terms cancel at
+    the last letter.
 
-    While expanding, each coefficient c is held as the int c(2^B), for
-    B = _pack_width(n): (q - 1) c is (c << B) - c, 2c is c << 1 and 2q c is
-    c << (B + 1), exact since evaluation at 2^B is a ring map.  Decoding by
-    _unpack is exact too.  A factor sends a term c T_u to at most two terms,
-    +-(q - 1) c and -2c or -2q c, each of L1 norm at most 2 |c|_1, so the L1
-    norm summed over all terms grows at most 4x per letter.  It starts at 1,
-    so after the C(n,2) letters of gamma every integer coefficient is at most
-    2^(2 C(n,2)) < 2^(B-1) in absolute value, inside _unpack's digit range.
+    Each coefficient c is held as the int c(2^B): (q - 1) c is (c << B) - c,
+    2c is c << 1 and 2q c is c << (B + 1), exact since evaluation at 2^B is a
+    ring map.  A factor sends a term c T_u to at most two terms, +-(q - 1) c
+    and -2c or -2q c, each of L1 norm at most 2 |c|_1, so the L1 norm summed
+    over all terms grows at most 4x per letter.  It starts at 1, so after the
+    C(n,2) letters of gamma every c has |c|_1 <= 2^(2 C(n,2)), and each letter
+    raises the degree by at most one, so deg c <= C(n,2).
     """
     width = _pack_width(n)
     terms = {identity_perm(n): 1}
@@ -223,8 +224,8 @@ def _expand_numerators(n: int) -> dict:
             if not c:
                 continue
             qm1 = (c << width) - c
-            v = apply_s_right(u, i)
-            if has_right_ascent(u, i):
+            v = u[:i - 1] + (u[i], u[i - 1]) + u[i + 1:]  # u s_i
+            if u[i - 1] < u[i]:
                 # T_u (q - 1 - 2 T_i) = (q - 1) T_u - 2 T_{u s_i}
                 out[u] = get(u, 0) + qm1
                 out[v] = get(v, 0) - (c << 1)
@@ -234,14 +235,31 @@ def _expand_numerators(n: int) -> dict:
                 out[u] = get(u, 0) - qm1
                 out[v] = get(v, 0) - (c << (width + 1))
         terms = out
-    return {w: _unpack(c, width) for w, c in terms.items()}
+    return terms
+
+
+def _expand_numerators(n: int) -> dict:
+    """{w: IntPoly}, the numerators of _expand_packed(n) read back by _unpack:
+    exact, since |c|_1 <= 2^(2 C(n,2)) < 2^(B-1)."""
+    width = _pack_width(n)
+    return {w: _unpack(c, width) for w, c in _expand_packed(n).items()}
 
 
 @lru_cache(maxsize=None)
 def _coefficients(n: int) -> dict:
-    """{w: c_w(q)} in canonical form, expanded and reduced once per n."""
-    den = _qp1_power(n * (n - 1) // 2)
-    return {w: RatFunc.make(poly, den) for w, poly in _expand_numerators(n).items()}
+    """{w: c_w(q)} in canonical form, expanded and reduced once per n: each
+    (q+1) comes off c(2^B) as a factor 2^B + 1 (exact by _pack_width), then
+    the quotient is unpacked once and its content split off."""
+    k, width = n * (n - 1) // 2, _pack_width(n)
+    qp1, out = (1 << width) + 1, {}
+    for w, x in _expand_packed(n).items():
+        m, out[w] = 0, RF_ZERO
+        while x and not x % qp1:
+            x, m = x // qp1, m + 1
+        if x:
+            cn, num = _split_content(_unpack(x, width))
+            out[w] = RatFunc(Fraction(cn), num, _qp1_power(k - m))
+    return out
 
 
 def _check_n(n: int, cap: int) -> None:

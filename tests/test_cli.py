@@ -139,6 +139,18 @@ def test_cli_size_caps_exit_3_and_unsupported_q_exits_2(argv, code, message, cap
     assert message in err
 
 
+def test_flags_verify_hecke_answers_n_0(capsys):
+    # B_0(q) has one flag, in the cell of the empty permutation, with
+    # coefficient 1; the Hecke verbs themselves still need n >= 1
+    for q in ("2", "3"):
+        argv = ["flags", "--n", "0", "--q", q, "--verify-hecke"]
+        assert run_cli(argv, capsys) == (0, "w\tcell_size\tcoefficient\n\t1\t1\n", "")
+        code, out, _ = run_cli(["--format", "json", *argv], capsys)
+        assert code == 0 and json.loads(out) == [{"w": "", "cell_size": 1, "coefficient": "1"}]
+    code, out, err = run_cli(["hecke", "cw", "--n", "0"], capsys)
+    assert (code, out) == (2, "") and "n must be positive" in err
+
+
 def test_cli_internal_index_error_is_not_a_usage_error(monkeypatch):
     def broken(P, w):
         raise IndexError("internal fault")

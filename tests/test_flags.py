@@ -1,11 +1,12 @@
 """Subspace lattices over F_q, Bruhat cells, Hecke consistency."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from linext.chains import maximal_chains
+from linext.chains import ChainVector, linear_tau, maximal_chains
 from linext.flags import (
     SIZE_CAPS,
     bruhat_cell,
@@ -15,6 +16,7 @@ from linext.flags import (
     subspace_dim,
     subspace_lattice,
 )
+from linext.verify import _graded_corpus
 
 
 def gaussian(n, k, q):
@@ -142,3 +144,50 @@ def test_hecke_consistency(n, q):
     q_factorial = {(2, 2): 3, (2, 3): 4, (3, 2): 21, (3, 3): 52, (4, 2): 315,
                    (4, 3): 2080, (5, 2): 9765}
     assert sum(size for size, _ in rep.cells.values()) == q_factorial[n, q]
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def _tau_images(Q) -> list:
+    """(chain, i, sorted (chain, coefficient) of linear_tau of its basis vector)
+    for every maximal chain of Q and every i."""
+    out = []
+    for m in maximal_chains(Q):
+        for i in range(1, Q.height):
+            tv = linear_tau(Q, ChainVector.basis(m), i)
+            out.append((m, i, sorted((c, tv.coeff(c)) for c in tv.terms)))
+    return out
+
+
+# SHA-256 prefixes, recorded on the Fraction-based code before the integer
+# rewrite: hecke_consistency reports (ok, sorted cells, mismatches) per (n, q);
+# bruhat_cell of every flag against the standard flag and one other flag;
+# linear_tau of every basis chain at every i
+FLAG_DIGESTS = {
+    "hecke_consistency": "4f0a3e104717fcb2",
+    "bruhat_cell": "4e2ce8c8d24bd3e0",
+    "linear_tau": "5d27cc68cf611d0c",
+}
+
+
+def test_flag_checks_are_pinned_by_digest():
+    reports = []
+    for n, q in [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]:
+        rep = hecke_consistency(n, q)
+        reports.append((n, q, rep.ok, sorted(rep.cells.items()), rep.mismatches))
+    cells = []
+    for n, q in ((3, 3), (4, 2)):
+        lat = subspace_lattice(n, q)
+        flags = maximal_chains(lat.graded)
+        for ref in (standard_flag_chain(lat), flags[len(flags) // 2]):
+            cells.append([bruhat_cell(lat, m, ref) for m in flags])
+    graded = list(_graded_corpus().values())
+    graded += [subspace_lattice(n, q).graded for n, q in ((2, 2), (2, 3), (3, 2))]
+    got = {
+        "hecke_consistency": _digest(reports),
+        "bruhat_cell": _digest(cells),
+        "linear_tau": _digest([_tau_images(Q) for Q in graded]),
+    }
+    assert got == FLAG_DIGESTS

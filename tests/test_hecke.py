@@ -241,3 +241,14 @@ def test_expansion_is_pinned_by_digest():
         by_sign = by_sign + (c if ell % 2 == 0 else -c)
     # sum c_w q^l(w) = (-1)^C(5,2) and sum c_w (-1)^l(w) = 1
     assert by_q == by_sign == RF_ONE
+
+
+def test_expansion_n8_is_pinned_by_digest():
+    """n = 8, past DEFAULT_HECKE_CAP: the digests of _coefficients(8) and
+    divisibility_report(8, cap=8) as the RatFunc.make-based reduction gave
+    them, the c_id closed form and the Thm 9 bound over all 40320 w."""
+    coeffs = [(w, c.coef, c.num, c.den) for w, c in _coefficients(8).items()]
+    rows = divisibility_report(8, cap=8)
+    assert (_digest(coeffs), _digest(rows)) == ("df8e0cbe05761653", "be28a079cb0f37e4")
+    assert check_thm_cid(8, cap=8)
+    assert len(rows) == 40320 and all(ok for _, _, _, ok, _ in rows)

@@ -135,5 +135,7 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     program = [path.read_text() for top in ("src", "scripts", "perfbench")
                for path in sorted((ROOT / top).rglob("*.py"))]
-    assert sum(len(_defaulted_parameters(ast.parse(s))) for s in package.values()) >= 20
+    # a floor on the scan's reach, not on the defaults it finds, which the rule
+    # drives down: every module of the package parses, and there are 10 or more
+    assert len(package) >= 10 and all(isinstance(ast.parse(s), ast.Module) for s in package.values())
     assert _unpassed_defaults(package, program) == sorted(UNPASSED_DEFAULTS)

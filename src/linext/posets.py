@@ -20,10 +20,12 @@ size, serves `extension_space`, which reads L(P)'s graph, or past its cap e(P)
 for the message, off that walk of J(P).  `count_extensions` and `ideals`
 (so `ideals_lattice` too) run it once per connected component C of P
 (`_components`), over C's elements alone in P's own bits, and combine:
-e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q).  The ideal cap
-is checked against the product of the |J(C)|, which is |J(P)|.  Its weighted
-sibling `_path_sums` walks J(P) whole over (ideal, last element) states, one
-packed polynomial each, for the statistics that need no word of L(P).
+e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q), whose rows
+`ideals` merges by keyless sorts of twins m | rev(m) << p, rev(m) being m's
+bits reversed.  The ideal cap is checked against the product of the |J(C)|,
+which is |J(P)|.  Its weighted sibling `_path_sums` walks J(P) whole over
+(ideal, last element) states, one packed polynomial each, for the statistics
+that need no word of L(P).
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -479,13 +481,14 @@ _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b w
 
 
 def ideals(P: Poset) -> list:
-    """All order ideals as bitmasks, sorted by (size, lowest-id members).
-
-    J(P + Q) is J(P) x J(Q): the layered walk of each connected component's
-    J(C) is kept as masks by size, CapExceeded is raised once the product of
-    the |J(C)| passes DEFAULT_IDEAL_CAP (exactly when |J(P)| does), and only
-    then are the components joined, size k of the product taking x | y over
-    sizes i + j = k.
+    """All order ideals as bitmasks, sorted by (size, lowest-id members): of
+    two masks of one size, the first holds the lowest id where they differ,
+    so has the larger rev(m).  Each J(C) is walked alone, and CapExceeded
+    raised once the product of the |J(C)| passes DEFAULT_IDEAL_CAP, exactly
+    when |J(P)| does.  One J(C) is sorted by rev; more are joined largest
+    first, on twins m | rev(m) << p, a row (size k) at a time: its runs
+    x | y, one per y, merge in one keyless sort, a row no later row reads
+    is dropped, and the last product's rows are stripped as they come.
     """
     message = f"more than {DEFAULT_IDEAL_CAP} order ideals"
     factors, size = [], 1
@@ -494,22 +497,35 @@ def ideals(P: Poset) -> list:
         size *= sum(map(len, factors[-1]))
         if size > DEFAULT_IDEAL_CAP:
             raise CapExceeded(message)
-    layers, *factors = factors or [[[0]]]  # J of the empty poset holds the empty ideal alone
-    for factor in factors:
-        product = [[] for _ in range(len(layers) + len(factor) - 1)]
-        for i, xs in enumerate(layers):
-            for j, ys in enumerate(factor):
-                product[i + j] += [x | y for x in xs for y in ys]
-        layers = product
     nbytes = (P.p + 7) // 8
-    out = []
-    for layer in layers:
-        # Among masks of one size, lex order of the member tuples puts first
-        # the mask holding the lowest bit where two differ: the larger key
-        # when its bytes run from bit 0 up, each byte's bits reversed, and
-        # compare as bytes do, first byte first and high bit first.
-        layer.sort(key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED_BITS), reverse=True)
-        out += layer
+
+    def rev(m):  # rev(m) as bytes, which compare as it does: m's bytes from bit 0 up, each reversed
+        return m.to_bytes(nbytes, "little").translate(_REVERSED_BITS)
+
+    strip, out = ((1 << P.p) - 1).__and__, []
+    if len(factors) < 2:
+        for layer in factors[0] if factors else [[0]]:  # J of the empty poset holds the empty ideal alone
+            layer.sort(key=rev, reverse=True)
+            out += layer
+        return out
+    factors.sort(key=lambda f: sum(map(len, f)), reverse=True)
+    rows, *factors = [[sorted([m | int.from_bytes(rev(m), "big") << P.p for m in layer], reverse=True)
+                       for layer in f] for f in factors]
+    for n, factor in enumerate(factors, 1):
+        product, top = [], len(factor) - 1
+        for k in range(len(rows) + top):
+            row = []
+            for j in range(max(0, k - len(rows) + 1), min(k, top) + 1):
+                for y in factor[j]:  # y = 0, the empty ideal, leaves the row as it is
+                    row += [x | y for x in rows[k - j]] if y else rows[k - j]
+            row.sort(reverse=True)
+            if k >= top:
+                rows[k - top] = None  # no later row reads it
+            if n < len(factors):
+                product.append(row)
+            else:
+                out += map(strip, row)
+        rows = product
     return out
 
 
@@ -527,8 +543,12 @@ def ideals_lattice(P: Poset):
     Returns (lattice, members) where members[i] is the frozenset of P-elements
     of the ideal with lattice id i.  Cover pairs are (I, I + {t}) with t
     minimal in the complement of I; they are exact, so no reduction runs.
+    CapExceeded if its closure, 2 |J(P)|^2 bits, passes `_path_sums`' budget.
     """
     masks = ideals(P)
+    bits, budget = 2 * len(masks) ** 2, DEFAULT_IDEAL_CAP << 11
+    if bits > budget:
+        raise CapExceeded(f"the order of J(P), {len(masks)} ideals, needs {bits} bits, more than {budget}")
     index = {m: i for i, m in enumerate(masks)}
     joins = _joins(P, range(P.p))
     covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(joins[m.bit_count()], m)]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import re
 
 import pytest
@@ -122,18 +123,23 @@ def test_ideals_sorted_by_size_then_members():
             )
 
 
-def test_shuffled_disjoint_chains_count_and_ideals():
-    # chains of sizes 1, 1, 1, 1, 3, 3 on shuffled ids, like the wide
-    # benchmark poset: e(P) is the multinomial, |J(P)| the product of size + 1
-    sizes = (1, 1, 1, 1, 3, 3)
-    ids = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]
+def _chains_on(ids, sizes) -> Poset:
+    """Disjoint chains of `sizes`, the first on the first ids, and so on."""
     covers, start = [], 0
     for size in sizes:
         covers += [(ids[i], ids[i + 1]) for i in range(start, start + size - 1)]
         start += size
-    P = poset_from_covers(len(ids), covers)
+    return poset_from_covers(len(ids), covers)
+
+
+def test_shuffled_disjoint_chains_count_and_ideals():
+    # chains of sizes 1, 1, 1, 1, 3, 3 on shuffled ids, like the wide
+    # benchmark poset: e(P) is the multinomial, |J(P)| the product of size + 1
+    P = _chains_on([7, 2, 9, 0, 5, 3, 8, 1, 6, 4], (1, 1, 1, 1, 3, 3))
     assert count_extensions(P) == math.factorial(10) // (math.factorial(3) ** 2)
-    assert len(ideals(P)) == 2 ** 4 * 4 ** 2
+    masks = ideals(P)
+    assert len(masks) == 2 ** 4 * 4 ** 2
+    assert masks == sorted(masks, key=lambda m: (m.bit_count(), _mask_members(m)))
 
 
 @st.composite
@@ -162,9 +168,43 @@ def test_deep_and_long_walks():
 @given(narrow_posets(7, 20, 3))
 @settings(max_examples=100, deadline=None)
 def test_ideals_sorted_by_size_then_members_across_key_bytes(P):
-    # the sort key grows a byte at p = 9 and at p = 17
+    # rev(m), the sort key and the high half of a twin, grows a byte at p = 9 and at p = 17
     masks = ideals(P)
     assert masks == sorted(masks, key=lambda m: (m.bit_count(), _mask_members(m)))
+
+
+def _ideal_bound(n: int, width: int) -> int:
+    """The most ideals of an n-element poset in `width` chains: the product
+    of length + 1 over chains as even as they can be."""
+    return math.prod(n // width + (i < n % width) + 1 for i in range(width))
+
+
+@st.composite
+def disjoint_narrow_posets(draw, max_p=40, max_ideals=4096):
+    """Disjoint unions of 2 to 6 narrow posets on shuffled ids, with at most
+    max_p elements and max_ideals ideals: each part leaves room for two
+    ideals and one element per part still to come."""
+    parts = draw(st.integers(2, 6))
+    covers, p, bound = [], 0, 1
+    for left in range(parts - 1, -1, -1):
+        width = draw(st.integers(1, 2))
+        room = max_ideals // bound >> left
+        n = draw(st.integers(1, max(n for n in range(1, max_p - p - left + 1)
+                                    if _ideal_bound(n, width) <= room)))
+        covers += [(s + p, t + p) for s, t in draw(narrow_posets(n, n, width)).covers]
+        p, bound = p + n, bound * _ideal_bound(n, width)
+    ids = draw(st.permutations(range(p)))
+    return poset_from_covers(p, [(ids[s], ids[t]) for s, t in covers])
+
+
+@given(disjoint_narrow_posets())
+@settings(max_examples=60, deadline=None)
+def test_ideals_of_disjoint_unions_are_one_walk_of_j_of_p_sorted(P):
+    # the component product, on twins past 61 bits from p = 31, against one
+    # walk of J(P) whole sorted by (size, members)
+    masks = ideals(P)
+    whole = [m for layer in posets._ideal_layers(posets._joins(P, range(P.p)), "") for m in layer]
+    assert masks == sorted(whole, key=lambda m: (m.bit_count(), _mask_members(m)))
 
 
 def test_count_extensions_cap(monkeypatch):
@@ -181,6 +221,20 @@ def test_ideal_lattice_of_antichain_is_boolean():
     assert count_extensions(lat) == 48  # e(B_3)
     lat, members = ideals_lattice(antichain(11))
     assert lat.p == 2 ** 11 and len(lat.covers) == 11 * 2 ** 10
+
+
+def test_ideal_lattice_refuses_a_closure_past_the_bit_budget(monkeypatch):
+    # antichain(16) would close 65536 masks of 65536 bits each way, 2^33 bits
+    message = "the order of J(P), 65536 ideals, needs 8589934592 bits, more than 2147483648"
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        ideals_lattice(antichain(16))
+    # at 4096 ideals allowed the budget is 2^23 bits: antichain(11) needs it
+    # exactly, as antichain(15) does at the default, and antichain(12) more
+    monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 4096)
+    assert ideals_lattice(antichain(11))[0].p == 2048
+    message = "the order of J(P), 4096 ideals, needs 33554432 bits, more than 8388608"
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        ideals_lattice(antichain(12))
 
 
 def test_ideal_lattice_is_the_reduced_poset_of_its_covers():
@@ -349,6 +403,38 @@ def test_spaces_are_pinned_by_digest():
     assert got == SPACE_DIGESTS
     with pytest.raises(CapExceeded, match="^more than 2 dual domino tableaux$"):
         dual_domino_tableaux(spaces["L_4"][1], 2)
+
+
+def _pinned_ideal_posets() -> dict:
+    """Name -> poset whose J(P) is pinned: the corpus and its duals, the
+    benchmark's 12 shuffled chains on three shuffles, antichains of 0..12
+    elements, and disconnected posets of 40 and 65 elements, past 61 bits."""
+    out = {}
+    for name, P in corpus().items():
+        out[name], out[name + "*"] = P, dual_poset(P)
+    wide = (1,) * 10 + (3, 3)
+    shuffled = {"chains0": wide, "chains1": wide, "chains2": wide, "wide40": (30, 3, 1, 6), "wide65": (1, 60, 4)}
+    for seed, (name, sizes) in enumerate(shuffled.items()):
+        out[name] = _chains_on(random.Random(seed).sample(range(sum(sizes)), sum(sizes)), sizes)
+    for p in range(13):
+        out[f"antichain{p}"] = antichain(p)
+    return out
+
+
+# SHA-256 prefixes over _pinned_ideal_posets() of ideals(P), and of the covers
+# and member tuples of ideals_lattice(P) but for chains1 and chains2
+IDEAL_DIGESTS = {"ideals": "de4e04521c12b1bb", "ideals_lattice": "a5486048935b65f9"}
+
+
+def test_ideals_are_pinned_by_digest():
+    pinned = _pinned_ideal_posets()
+    lattices = (ideals_lattice(P) for name, P in pinned.items() if name not in ("chains1", "chains2"))
+    got = {
+        "ideals": _digest(ideals(P) for P in pinned.values()),
+        "ideals_lattice": _digest((lat.covers, [tuple(sorted(m)) for m in members])
+                                  for lat, members in lattices),
+    }
+    assert got == IDEAL_DIGESTS
 
 
 def test_lex_walk_edges():

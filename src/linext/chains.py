@@ -11,6 +11,8 @@ here reads them, a chain is found by bisecting them, and their tau_i rows come
 from the rule that fills those of L(P), which raises unless the poset is
 slender.  So chain promotion and (dual) evacuation are lookups in the
 `operators` arrays that serve linear extensions, grown along the same runs.
+`linext verify crosspoly` checks them against the signed closed forms, and
+`linext verify eq7` against the linear delta, +-1 per chain.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from .posets import CapExceeded, ExtensionSpace, Poset, _mask_members, _poset_from_reduced
+from .posets import CapExceeded, ExtensionSpace, Poset, _poset_from_reduced
 from .promotion import delta_word, dihedral_group_order, gamma_word
 
 
@@ -33,11 +35,6 @@ class GradedPoset:
     bottom: int
     top: int
     height: int  # rank of the top element
-
-    def middles(self, s: int, t: int) -> tuple:
-        """Elements strictly between s and t, from the order relation."""
-        P = self.poset
-        return _mask_members(P.leq_mask[s] & P.geq_mask[t] & ~(1 << s) & ~(1 << t))
 
     @cached_property
     def rank2(self) -> dict:
@@ -71,7 +68,7 @@ def graded_from_poset(P: Poset) -> GradedPoset:
     bottom, top = mins[0], maxs[0]
     rank = [None] * P.p
     rank[bottom] = 0
-    order = sorted(range(P.p), key=lambda t: bin(P.geq_mask[t]).count("1"))
+    order = sorted(range(P.p), key=lambda t: P.geq_mask[t].bit_count())
     for t in order:
         if t == bottom:
             continue
@@ -195,17 +192,6 @@ def chain_to_signed_perm(faces, chain) -> SignedPerm:
         (new,) = fhi - flo
         out.append(new)
     return tuple(out)
-
-
-def signed_perm_to_chain(faces, w: SignedPerm) -> tuple:
-    index = {f: i for i, f in enumerate(faces)}
-    chain = [index[frozenset()]]
-    cur = frozenset()
-    for a in w:
-        cur = cur | {a}
-        chain.append(index[cur])
-    chain.append(len(faces) - 1)  # top
-    return tuple(chain)
 
 
 def all_signed_perms(n: int):

@@ -77,15 +77,6 @@ def _walk(n: int, q: int) -> tuple:
     return subs, covers
 
 
-def subspace_dim(s: frozenset, q: int) -> int:
-    d = 0
-    size = len(s)
-    while size > 1:
-        size //= q
-        d += 1
-    return d
-
-
 @dataclass(frozen=True)
 class SubspaceLattice:
     n: int

@@ -30,7 +30,6 @@ from .ratfunc import (
     RatFunc,
     _qp1_power,
     _split_content,
-    pnorm,
     ppow,
     qm1_order,
 )
@@ -62,23 +61,6 @@ def perm_cycles(w: Perm) -> int:
 def reversal(w: Perm) -> Perm:
     """w-hat, the reversal of the one-line word (= w0 w)."""
     return w[::-1]
-
-
-def reduced_word(w: Perm) -> tuple:
-    """A reduced decomposition of w (selection-sort on descents)."""
-    # Bubble sort: repeatedly remove a descent; the letters, reversed, are a
-    # reduced word for w.
-    w = list(w)
-    letters = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(w)):
-            if w[i - 1] > w[i]:
-                w[i - 1], w[i] = w[i], w[i - 1]
-                letters.append(i)
-                changed = True
-    return tuple(reversed(letters))
 
 
 class HeckeElt:
@@ -141,11 +123,6 @@ class HeckeElt:
                 acc(u, c * _RF_QM1)
         return HeckeElt(self.n, out)
 
-    def mul_gen_left(self, i: int) -> "HeckeElt":
-        """Left multiplication by T_i: T_i h = (h' T_i)' for the
-        anti-involution ' = inverse."""
-        return self.inverse().mul_gen_right(i).inverse()
-
     def mul_e_right(self, i: int) -> "HeckeElt":
         """Right multiplication by E_i = (q - 1 - 2 T_i) / (q + 1)."""
         return (self.scale(_RF_QM1) - self.mul_gen_right(i).scale(_RF_TWO)).scale(_RF_INV_QP1)
@@ -154,24 +131,6 @@ class HeckeElt:
         items = sorted(self.terms.items())
         body = ", ".join(f"{''.join(map(str, w))}: {c}" for w, c in items)
         return f"HeckeElt(n={self.n}, {{{body}}})"
-
-
-def t_w(n: int, w: Perm) -> HeckeElt:
-    """T_w as a product of generators along a reduced decomposition."""
-    return t_w_from_word(n, reduced_word(tuple(w)))
-
-
-def t_w_from_word(n: int, word) -> HeckeElt:
-    """The product T_{i_1} ... T_{i_k} of the generators along `word`."""
-    elt = HeckeElt.unit(n)
-    for i in word:
-        elt = elt.mul_gen_right(i)
-    return elt
-
-
-def e_i(n: int, i: int) -> HeckeElt:
-    """E_i = (1/(q+1)) (q - 1 - 2 T_i); an involution (E_i^2 = 1)."""
-    return HeckeElt.unit(n).mul_e_right(i)
 
 
 def _pack_width(n: int) -> int:
@@ -279,18 +238,6 @@ def evacuation_element(n: int, cap: int = DEFAULT_HECKE_CAP) -> HeckeElt:
 def c_w(n: int, w: Perm) -> RatFunc:
     _check_n(n, DEFAULT_HECKE_CAP)
     return _coefficients(n).get(tuple(w), RF_ZERO)
-
-
-def scalar_product(g: HeckeElt, h: HeckeElt) -> RatFunc:
-    """<T_u, T_v> = q^{l(u)} delta_{uv}, extended bilinearly."""
-    if g.n != h.n:
-        raise ValueError("mismatched n")
-    total = RF_ZERO
-    for w, c in g.terms.items():
-        d = h.terms.get(w)
-        if d:
-            total = total + c * d * RatFunc.from_poly(pnorm((0,) * perm_length(w) + (1,)))
-    return total
 
 
 def cid_closed_form(n: int) -> RatFunc:

@@ -38,12 +38,6 @@ def load_poset(path) -> Poset:
         raise ParseError(str(exc)) from exc
 
 
-def dump_poset(P: Poset) -> str:
-    lines = [f"p={P.p}"]
-    lines += [f"{s}<{t}" for s, t in P.covers]
-    return "\n".join(lines) + "\n"
-
-
 def parse_shape(spec: str) -> Shape:
     """Accepts 'shape:3,3,2', 'shifted:4,3,1', or bare '3,3,2'."""
     spec = spec.strip()

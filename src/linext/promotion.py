@@ -7,7 +7,9 @@ evacuation and dual evacuation are the index arrays of the cached
 posets.ExtensionSpace, grown from its tau rows along the delta runs.  Every
 permutation here is an index sequence (a list or an array('i'), perm[k] the
 image of index k; only extension_permutation spells out {word: word}), and
-promote^p's cycles are read from promotion's by the gcd split.
+promote^p's cycles are read from promotion's by the gcd split.  Label sliding,
+block rotation, iterated promote-and-freeze and evacuation through P* are the
+second routes that `linext verify promotion` checks against the tau words.
 """
 
 from __future__ import annotations

@@ -54,14 +54,6 @@ def padd(a: IntPoly, b: IntPoly) -> IntPoly:
     return pnorm(c)
 
 
-def pneg(a: IntPoly) -> IntPoly:
-    return tuple(-x for x in a)
-
-
-def psub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return padd(a, pneg(b))
-
-
 def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ZERO_POLY
@@ -293,14 +285,6 @@ class RatFunc:
             return RF_ZERO
         return RatFunc.make(pmul(self.num, other.num),
                             _qp1_power(len(self.den) + len(other.den) - 2), self.coef * other.coef)
-
-    def eval(self, x) -> Fraction:
-        """Exact value at a rational point; raises at a pole."""
-        x = Fraction(x)
-        dv = peval(self.den, x)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at q={x}")
-        return self.coef * Fraction(peval(self.num, x)) / dv
 
     def as_int_pair(self) -> tuple:
         """(num, den) as integer polynomials with the scalar folded in.  They

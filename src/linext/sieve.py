@@ -131,17 +131,6 @@ def eval_at_root(F: IntPoly, p: int, d: int) -> int:
     return rem[0] if rem else 0
 
 
-def eval_at_root_float(F: IntPoly, p: int, d: int) -> complex:
-    """Floating-point cross-check of eval_at_root."""
-    import cmath
-
-    z = cmath.exp(2j * cmath.pi * d / p)
-    total = 0
-    for k, c in enumerate(F):
-        total += c * z ** k
-    return total
-
-
 @dataclass(frozen=True)
 class SieveRow:
     d: int
@@ -186,11 +175,6 @@ def _transpose_map(s: Shape):
     cells = s.cells()
     index = {cell: i for i, cell in enumerate(cells)}
     return [index[(c, r)] for (r, c) in cells]
-
-
-def transpose_extension(s: Shape, word: Word) -> Word:
-    tmap = _transpose_map(s)
-    return tuple(tmap[t] for t in word)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ refines the integer order on ids).  Entry points that take an arbitrary
 poset relabel it first via natural_relabel; W'_P only depends on P up to
 isomorphism, so this is harmless.
 
-W'_P, W_P and the sign census read no word of L(P): each is a path sum over
+W'_P and the sign census read no word of L(P): each is a path sum over
 J(P) (`posets._path_sums`), the weight of a step set by the letter it adds
 and the one before it.  The self-evacuating words are the fixed points of
 evacuation's index array on the poset's cached ExtensionSpace.
@@ -54,22 +54,12 @@ def comaj(P: Poset, word: Word) -> int:
     return sum(p - i for i in descent_set(P, word))
 
 
-def maj(P: Poset, word: Word) -> int:
-    return sum(descent_set(P, word))
-
-
 def wprime_poly(P: Poset) -> IntPoly:
     """W'_P(x) = sum over linear extensions of x^comaj: the path sum over J(P)
     in which the step adding t < last to an ideal of size i weighs p - i."""
     _require_natural(P)
     p = P.p
     return pnorm(_path_sums(P, lambda mask, last, t: p - mask.bit_count() if t < last else 0))
-
-
-def w_poly(P: Poset) -> IntPoly:
-    """W_P(x), the maj variant: that step weighs i."""
-    _require_natural(P)
-    return pnorm(_path_sums(P, lambda mask, last, t: mask.bit_count() if t < last else 0))
 
 
 def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:

@@ -12,22 +12,23 @@ from fractions import Fraction
 from . import chains, flags, hecke, sieve, stats
 from .corpus import boolean_lattice, corpus_p_le, v_poset, weak_order_s3
 from .posets import (
-    Poset,
     Shape,
+    antichain_cuts_all_chains,
     chain,
     count_extensions,
     delete_element,
     extension_space,
     ideals_lattice,
-    is_antichain,
     linear_extensions,
-    maximal_chains,
     natural_relabel,
 )
 from .promotion import (
     compose,
     delta_word,
+    dual_evacuate,
+    dual_evacuate_via_dual,
     evacuate,
+    evacuate_by_freezing,
     gamma_star_word,
     gamma_word,
     odd_falling_word,
@@ -35,10 +36,12 @@ from .promotion import (
     promote,
     promote_slide,
     principal_chain,
+    promotion_blocks,
+    rotate_blocks,
     tau_word,
     trajectory,
 )
-from .ratfunc import peval
+from .ratfunc import RF_ONE, RF_ZERO, RatFunc, peval
 from .sieve import special_shape_check
 
 
@@ -78,23 +81,18 @@ def verify_thm2() -> list:
     return out
 
 
-def _all_cutting_antichains(P: Poset):
-    """Every antichain meeting every maximal chain; the chains are taken once."""
-    chain_masks = [sum(1 << t for t in m) for m in maximal_chains(P)]
-    for mask in range(1, 1 << P.p):
-        A = [t for t in range(P.p) if mask >> t & 1]
-        if all(mask & c for c in chain_masks) and is_antichain(P, A):
-            yield A
-
-
 def verify_thm3() -> list:
-    """e(P) = sum over t in A of e(P - t) for every cutting antichain A."""
+    """e(P) = sum over t in A of e(P - t) for every cutting antichain A, the
+    antichains taken by element mask in increasing order."""
     out = []
     for name, P in corpus_p_le(8).items():
         e = count_extensions(P)
         ok = True
         checked = 0
-        for A in _all_cutting_antichains(P):
+        for mask in range(1, 1 << P.p):
+            A = [t for t in range(P.p) if mask >> t & 1]
+            if not antichain_cuts_all_chains(P, A):
+                continue
             checked += 1
             if e != sum(count_extensions(delete_element(P, t)) for t in A):
                 ok = False
@@ -191,10 +189,30 @@ def verify_thm7() -> list:
 
 
 def verify_thm8() -> list:
-    return [
+    """The c_id closed form; and for n <= 5 the packed expansion of the
+    evacuation element against E_1 ... E_1 multiplied out over RatFunc, and
+    its images under the characters T_i -> q and T_i -> -1 of H_n(q), which
+    send each E_i to -1 and to 1: sum c_w q^l(w) = (-1)^C(n,2) and
+    sum c_w (-1)^l(w) = 1."""
+    out = [
         CheckResult(f"n={n}: c_id closed form", hecke.check_thm_cid(n))
         for n in (2, 3, 4, 5, 6)
     ]
+    for n in (2, 3, 4, 5):
+        elt = hecke.HeckeElt.unit(n)
+        for i in gamma_word(n):
+            elt = elt.mul_e_right(i)
+        expansion = hecke.evacuation_element(n)
+        out.append(CheckResult(f"n={n}: expansion = E_i product", elt == expansion,
+                               f"{len(elt.terms)} terms"))
+        at_q = at_minus1 = RF_ZERO
+        for w, c in expansion.terms.items():
+            ell = hecke.perm_length(w)
+            at_q = at_q + c * RatFunc.from_poly((0,) * ell + (1,))
+            at_minus1 = at_minus1 + (-c if ell % 2 else c)
+        sign = RF_ONE if n * (n - 1) // 2 % 2 == 0 else -RF_ONE
+        out.append(CheckResult(f"n={n}: E at T_i = q and T_i = -1", (at_q, at_minus1) == (sign, RF_ONE)))
+    return out
 
 
 def verify_thm9() -> list:
@@ -267,7 +285,9 @@ def verify_eq7() -> list:
     commutation on the graded corpus, plus the Hecke quadratic relation
     (tau_i + 1)(tau_i - q) = 0 on B_n(q).  A distant pair j >= i + 2 needs
     height 4 (B_4: tau_1 tau_3), so each row counts the commutations checked
-    and names commutation only when it checked some."""
+    and names commutation only when it checked some.  Every graded-corpus
+    poset is slender, so there the linear delta sends each chain to +-1 times
+    its combinatorial promotion."""
     out = []
     for name, Q in _graded_corpus().items():
         ok = True
@@ -286,6 +306,13 @@ def verify_eq7() -> list:
                         ok = False
         checked = "tau_i^2 = 1 and commutation" if pairs else "tau_i^2 = 1"
         out.append(CheckResult(f"{name}: {checked}", ok, f"{pairs} distant-pair checks"))
+        ok, signs = True, set()
+        for v, m in zip(basis, chains.maximal_chains(Q)):
+            image = chains.promote_chains(Q, v)
+            ok &= image.den == 1 and image.terms.keys() == {chains.promote_chain(Q, m)}
+            signs.update(image.terms.values())
+        out.append(CheckResult(f"{name}: linear delta = +-promotion", ok and signs <= {1, -1},
+                               "signs " + " ".join(f"{c:+d}" for c in sorted(signs))))
     for n, q in ((2, 2), (2, 3), (3, 2)):
         lat = flags.subspace_lattice(n, q)
         Q = lat.graded
@@ -336,6 +363,13 @@ def verify_crosspoly() -> list:
                     if chains.chain_to_signed_perm(faces, op(Q, m)) != closed_form(w):
                         ok = False
             out.append(CheckResult(f"L_{n}: closed forms match generic", ok))
+        ok = True
+        for w in chains.all_signed_perms(n):
+            power = w
+            for _ in range(n + 1):
+                power = chains.signed_delta(power)
+            ok &= chains.signed_delta_power(w) == chains.signed_gamma_star(chains.signed_gamma(w)) == power
+        out.append(CheckResult(f"L_{n}: delta^(n+1) = gamma gamma*", ok))
     return out
 
 
@@ -381,14 +415,23 @@ def verify_eulerian() -> list:
 
 
 def verify_promotion_crosscheck() -> list:
-    """promote_slide agrees with the tau-word promotion everywhere."""
+    """The second routes agree with the tau words on every word of L(P):
+    label sliding and block rotation with promotion, iterated
+    promote-and-freeze with evacuation, and evacuation on P* with dual
+    evacuation."""
     out = []
     for name, P in corpus_p_le(8).items():
-        ok = all(
-            promote_slide(P, w)[0] == promote(P, w)
-            for w in linear_extensions(P)
-        )
-        out.append(CheckResult(f"{name}: slide = word promotion", ok))
+        words = extension_space(P).words
+        out += [
+            CheckResult(f"{name}: slide = word promotion",
+                        all(promote_slide(P, w)[0] == promote(P, w) for w in words)),
+            CheckResult(f"{name}: freezing = word evacuation",
+                        all(evacuate_by_freezing(P, w) == evacuate(P, w) for w in words)),
+            CheckResult(f"{name}: evac on P* = dual evac",
+                        all(dual_evacuate_via_dual(P, w) == dual_evacuate(P, w) for w in words)),
+            CheckResult(f"{name}: block rotation = promotion",
+                        all(rotate_blocks(promotion_blocks(P, w)) == promote(P, w) for w in words)),
+        ]
     return out
 
 

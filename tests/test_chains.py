@@ -1,6 +1,7 @@
 """Graded posets, slenderness, chain promotion, cross-polytopes, Eq.-(7) ops."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from linext.chains import (
     signed_gamma,
     signed_gamma_star,
     signed_group_order,
-    signed_perm_to_chain,
     tau_chain,
 )
 from linext.corpus import boolean_lattice, weak_order_s3
@@ -70,8 +70,14 @@ def test_tau_chain_swaps_unique_middle():
             assert tau_chain(ws3, tau_chain(ws3, m, i), i) == m
 
 
+def _middles(Q, s, t):
+    """Elements strictly between s and t, from the order relation."""
+    P = Q.poset
+    return posets._mask_members(P.leq_mask[s] & P.geq_mask[t] & ~(1 << s) & ~(1 << t))
+
+
 def _tau_by_middles(Q, m, i):
-    others = [t for t in Q.middles(m[i - 1], m[i + 1]) if t != m[i]]
+    others = [t for t in _middles(Q, m[i - 1], m[i + 1]) if t != m[i]]
     return m[:i] + (others[0],) + m[i + 1:] if others else m
 
 
@@ -83,7 +89,7 @@ def test_rank2_table_matches_middles(which):
         Q = graded(ideals_lattice(shape_poset(Shape((3, 3))))[0])
     P = Q.poset
     assert Q.rank2 == {
-        (s, t): Q.middles(s, t)
+        (s, t): _middles(Q, s, t)
         for s in range(P.p)
         for t in range(P.p)
         if P.less(s, t) and Q.rank[t] - Q.rank[s] == 2
@@ -199,7 +205,7 @@ def test_non_maximal_chain_rejected():
     m = maximal_chains(b3)[0]
     wrong_middle = next(
         m[:1] + (t,) + m[2:] for t in range(b3.poset.p)
-        if b3.rank[t] == 1 and t not in b3.middles(m[0], m[2])
+        if b3.rank[t] == 1 and t not in _middles(b3, m[0], m[2])
     )
     for bad in (m[::-1], m[:-1], wrong_middle):
         for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
@@ -270,13 +276,14 @@ def test_signed_group_order_rejects_n_below_1(n):
         signed_group_order(n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_perm_chain_roundtrip(n):
+    # chain_to_signed_perm maps the maximal chains of L_n one-to-one onto the
+    # 2^n n! signed permutations
     Q, faces = cross_polytope(n)
-    for m in maximal_chains(Q):
-        w = chain_to_signed_perm(faces, m)
-        assert signed_perm_to_chain(faces, w) == m
-    assert len(list(all_signed_perms(n))) == (2 ** n) * [1, 1, 2, 6][n]
+    perms = [chain_to_signed_perm(faces, m) for m in maximal_chains(Q)]
+    assert len(perms) == len(set(perms)) == 2 ** n * factorial(n)
+    assert set(perms) == set(all_signed_perms(n))
 
 
 def test_signed_closed_forms():

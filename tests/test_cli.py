@@ -12,7 +12,6 @@ from linext import cli, corpus, flags, hecke, posets
 from linext.cli import main
 from linext.io import (
     ParseError,
-    dump_poset,
     format_word,
     parse_poset,
     parse_shape,
@@ -30,11 +29,17 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _poset_text(P) -> str:
+    """P as a poset file: `p=<n>`, then one `s<t` line per cover."""
+    return "".join([f"p={P.p}\n"] + [f"{s}<{t}\n" for s, t in P.covers])
+
+
 def test_poset_roundtrip():
     text = "p=4\n0<1\n0<2\n1<3\n2<3\n"
     P = parse_poset(text)
     assert count_extensions(P) == 2
-    assert parse_poset(dump_poset(P)).covers == P.covers
+    assert _poset_text(P) == text
+    assert parse_poset(_poset_text(P)).covers == P.covers
 
 
 def test_poset_parse_errors():
@@ -440,7 +445,7 @@ def _chain_verb_commands(tmp_path) -> dict:
     files = []
     for n in (2, 3):  # B_n(2), not slender: [0, F_2^2] has 3 middles
         path = tmp_path / f"b{n}2.poset"
-        path.write_text(dump_poset(flags.subspace_lattice(n, 2).graded.poset))
+        path.write_text(_poset_text(flags.subspace_lattice(n, 2).graded.poset))
         files.append(str(path))
     groups = {
         "slender": [["slender", f"corpus:{name}"] for name in corpus.corpus()]
@@ -569,3 +574,15 @@ def test_statistic_walk_exits_3_at_its_caps(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["stats", "signbalance", "--poset", f, "--format", "json"], capsys)
     [row] = json.loads(out)
     assert code == 0 and row["even"] + row["odd"] == 137846528820
+
+
+# SHA-256 prefix of (exit code, stdout, stderr) of `verify thm3` in tsv and
+# in json, run through cli.main: each row's "N antichains" detail included
+THM3_DIGEST = "ac8c71e3936da7ff"
+
+
+def test_verify_thm3_is_pinned_by_digest(capsys):
+    h = hashlib.sha256()
+    for fmt in ("tsv", "json"):
+        h.update(repr(run_cli(["verify", "thm3", "--format", fmt], capsys)).encode())
+    assert h.hexdigest()[:16] == THM3_DIGEST

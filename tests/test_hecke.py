@@ -18,15 +18,10 @@ from linext.hecke import (
     check_thm_cid,
     cid_closed_form,
     divisibility_report,
-    e_i,
     evacuation_element,
     perm_cycles,
     perm_length,
-    reduced_word,
     reversal,
-    scalar_product,
-    t_w,
-    t_w_from_word,
 )
 from linext.posets import CapExceeded
 from linext.promotion import gamma_word
@@ -35,19 +30,49 @@ from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, peval, pno
 S4 = list(permutations((1, 2, 3, 4)))
 
 
+def _t_word(n, word) -> HeckeElt:
+    """T_{i_1} ... T_{i_k}: the generators along `word`, multiplied on the right."""
+    elt = HeckeElt.unit(n)
+    for i in word:
+        elt = elt.mul_gen_right(i)
+    return elt
+
+
+def _reduced_words(n) -> dict:
+    """{w: a reduced word of w} over S_n, grown from the identity one length
+    at a time by w -> w s_i where that adds an inversion."""
+    layer = [tuple(range(1, n + 1))]
+    words = {layer[0]: ()}
+    while layer:
+        grown = []
+        for u in layer:
+            for i in range(1, n):
+                v = u[:i - 1] + (u[i], u[i - 1]) + u[i + 1:]
+                if u[i - 1] < u[i] and v not in words:
+                    words[v] = words[u] + (i,)
+                    grown.append(v)
+        layer = grown
+    return words
+
+
+def _left(h, i) -> HeckeElt:
+    """T_i h = (h' T_i)' for the anti-involution ' = inverse."""
+    return h.inverse().mul_gen_right(i).inverse()
+
+
 def test_perm_basics():
     assert perm_length((2, 1, 3)) == 1
     assert perm_length((3, 2, 1)) == 3
     assert perm_cycles((2, 1, 4, 3)) == 2
     assert reversal((1, 3, 2)) == (2, 3, 1)
-    assert reduced_word((1, 2, 3)) == ()
-    assert len(reduced_word((3, 2, 1))) == 3
+    assert _reduced_words(3)[(1, 2, 3)] == ()
+    assert {w: len(word) for w, word in _reduced_words(4).items()} == {w: perm_length(w) for w in S4}
 
 
 @given(st.permutations([1, 2, 3, 4]))
 def test_reduced_word_reconstructs(wl):
     w = tuple(wl)
-    elt = t_w_from_word(4, reduced_word(w))
+    elt = _t_word(4, _reduced_words(4)[w])
     assert elt.terms.keys() == {w}
     assert elt.coeff(w) == RF_ONE
 
@@ -55,7 +80,7 @@ def test_reduced_word_reconstructs(wl):
 def test_longest_element_word():
     word = gamma_word(4)
     assert len(word) == 6
-    elt = t_w_from_word(4, word)
+    elt = _t_word(4, word)
     assert set(elt.terms) == {(4, 3, 2, 1)}
 
 
@@ -63,7 +88,7 @@ def test_quadratic_relation():
     # (T_i + 1)(T_i - q) = 0, i.e. T_i^2 = (q-1) T_i + q
     n = 3
     for i in (1, 2):
-        ti = t_w_from_word(n, (i,))
+        ti = _t_word(n, (i,))
         sq = ti.mul_gen_right(i)
         expect = ti.scale(RF_Q - RF_ONE) + HeckeElt.unit(n).scale(RF_Q)
         assert sq == expect
@@ -71,8 +96,8 @@ def test_quadratic_relation():
 
 def test_braid_relation():
     n = 3
-    a = t_w_from_word(n, (1, 2, 1))
-    b = t_w_from_word(n, (2, 1, 2))
+    a = _t_word(n, (1, 2, 1))
+    b = _t_word(n, (2, 1, 2))
     assert a == b
 
 
@@ -84,7 +109,7 @@ def test_left_and_right_multiplication_agree_on_words():
             right = right.mul_gen_right(i)
         left = HeckeElt.unit(n)
         for i in reversed(word):
-            left = left.mul_gen_left(i)
+            left = _left(left, i)
         assert left == right
 
 
@@ -92,26 +117,21 @@ def test_left_action_commutes_with_right_and_is_quadratic():
     # T_i h is computed through the anti-involution T_w -> T_{w^-1}; check it
     # is a left action in its own right: (T_i h) T_j = T_i (h T_j) and
     # T_i (T_i h) = (q - 1) T_i h + q h.
-    hs = [t_w(4, w) for w in S4] + [evacuation_element(3)]
+    words = _reduced_words(4)
+    hs = [_t_word(4, words[w]) for w in S4] + [evacuation_element(3)]
     for h in hs:
         for i in range(1, h.n):
-            left = h.mul_gen_left(i)
-            assert left.mul_gen_left(i) == left.scale(RF_Q - RF_ONE) + h.scale(RF_Q)
+            left = _left(h, i)
+            assert _left(left, i) == left.scale(RF_Q - RF_ONE) + h.scale(RF_Q)
             for j in range(1, h.n):
-                assert left.mul_gen_right(j) == h.mul_gen_right(j).mul_gen_left(i)
+                assert left.mul_gen_right(j) == _left(h.mul_gen_right(j), i)
 
 
 def test_e_i_is_involution():
     n = 3
     for i in (1, 2):
-        assert e_i(n, i).mul_e_right(i) == HeckeElt.unit(n)
-
-
-def test_scalar_product_orthogonality():
-    n = 3
-    u, v = (2, 1, 3), (1, 3, 2)
-    assert scalar_product(t_w(n, u), t_w(n, v)) == RF_ZERO
-    assert scalar_product(t_w(n, u), t_w(n, u)) == RF_Q
+        e = HeckeElt.unit(n).mul_e_right(i)
+        assert e != HeckeElt.unit(n) and e.mul_e_right(i) == HeckeElt.unit(n)
 
 
 def test_evacuation_element_n2():
@@ -126,9 +146,10 @@ def test_evacuation_element_is_involution_n3():
     elt = evacuation_element(3)
     # square it by expanding the right factor over T-basis products
     prod = HeckeElt.unit(3).scale(RF_ZERO)
+    words = _reduced_words(3)
     for w, c in elt.terms.items():
         term = elt
-        for i in reduced_word(w):
+        for i in words[w]:
             term = term.mul_gen_right(i)
         prod = prod + term.scale(c)
     assert prod == HeckeElt.unit(3)
@@ -233,14 +254,16 @@ def test_expansion_is_pinned_by_digest():
         coeffs = [(w, c.coef, c.num, c.den) for w, c in _coefficients(n).items()]
         assert (_digest(coeffs), _digest(divisibility_report(n))) == pinned, n
     e5 = evacuation_element(5)
-    assert scalar_product(e5, e5) == RF_ONE
-    by_q = by_sign = RF_ZERO
+    norm = by_q = by_sign = RF_ZERO
     for w, c in e5.terms.items():
         ell = perm_length(w)
-        by_q = by_q + c * RatFunc.from_poly((0,) * ell + (1,))
+        q_ell = RatFunc.from_poly((0,) * ell + (1,))
+        norm = norm + c * c * q_ell
+        by_q = by_q + c * q_ell
         by_sign = by_sign + (c if ell % 2 == 0 else -c)
+    # <E_5, E_5> = sum c_w^2 q^l(w) = 1, as <T_u, T_v> = q^l(u) [u = v];
     # sum c_w q^l(w) = (-1)^C(5,2) and sum c_w (-1)^l(w) = 1
-    assert by_q == by_sign == RF_ONE
+    assert norm == by_q == by_sign == RF_ONE
 
 
 def test_expansion_n8_is_pinned_by_digest():

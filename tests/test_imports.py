@@ -1,12 +1,20 @@
 """Every name a module of the package imports is read in that module, every
-private top-level name of a module is read somewhere in the package, and every
-defaulted parameter is passed by some call in the program."""
+private top-level name of a module is read somewhere in the package, every
+defaulted parameter is passed by some call in the program, and every public
+top-level function of the package is read by the program."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linext"
+
+
+def _program() -> dict:
+    """{path from the repo root: source} per Python file of the program: the
+    package under src/, scripts/ and perfbench/."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for top in ("src", "scripts", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))}
 
 
 def _unread_imports(source: str) -> list:
@@ -133,9 +141,74 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     calls = ["f(0, 1)\nK(x=1)\nK.s(0)\nK().m()\n"]
     assert _unpassed_defaults(toy, calls) == [("a.py", "f", "c"), ("a.py", "m", "z")]
     package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    program = [path.read_text() for top in ("src", "scripts", "perfbench")
-               for path in sorted((ROOT / top).rglob("*.py"))]
+    program = list(_program().values())
     # a floor on the scan's reach, not on the defaults it finds, which the rule
     # drives down: every module of the package parses, and there are 10 or more
     assert len(package) >= 10 and all(isinstance(ast.parse(s), ast.Module) for s in package.values())
     assert _unpassed_defaults(package, program) == sorted(UNPASSED_DEFAULTS)
+
+
+# (module, function) that no module of the program reads, and why it stays
+PROGRAM_UNREAD = {
+    ("hecke.py", "c_w"): "a documented entry point that tests/test_acceptance.py reads",
+    ("sieve.py", "maj_tableau"): "the checked maj of one tableau that tests/test_acceptance.py reads",
+    ("stats.py", "comaj"): "the per-word reference that the wprime_poly path sum is property-tested against",
+    ("stats.py", "extension_parity"): "the per-word reference that the sign_balance_report census is "
+                                      "property-tested against",
+}
+
+
+def _unread_public_functions(package: dict, program: dict) -> list:
+    """(module, name) for each public top-level function of `package` that no
+    source of `program` reads, as a name, an attribute or an import, outside
+    a def of that name; reads are matched by name alone."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            names = []
+        read.update(n for n in names if n not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in program.values():
+        visit(ast.parse(source), frozenset())
+    return sorted(
+        (module, node.name)
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_every_public_function_is_read_by_the_program():
+    toy = {
+        "a.py": ("def f(): pass\n"
+                 "def g(n): return g(n - 1)\n"
+                 "def h(): pass\n"
+                 "def k(): pass\n"
+                 "def _p(): pass\n"
+                 "class C:\n"
+                 "    def m(self): pass\n"
+                 "x = k()\n"),
+        "b.py": "def unread(): pass\n",
+    }
+    program = {**toy, "c.py": "from a import h\nimport a\na.f\n"}
+    # g reads only itself and nothing reads unread; private names and methods
+    # are the other rules' business
+    assert _unread_public_functions(toy, program) == [("a.py", "g"), ("b.py", "unread")]
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    program = _program()
+    # a floor on the scan's reach: the package and both other program directories
+    assert len(package) >= 10
+    assert {path.split("/")[0] for path in program} == {"src", "scripts", "perfbench"}
+    assert _unread_public_functions(package, program) == sorted(PROGRAM_UNREAD)

@@ -62,10 +62,8 @@ from linext.stats import (
     dual_domino_tableaux,
     extension_parity,
     is_dual_domino_word,
-    maj,
     self_evacuating,
     sign_balance_report,
-    w_poly,
     wprime_poly,
 )
 
@@ -434,7 +432,6 @@ def test_w_polys_are_descent_censuses(P):
     Q, _ = natural_relabel(P)
     words = list(linear_extensions(Q))
     assert wprime_poly(Q) == census([comaj(Q, w) for w in words])
-    assert w_poly(Q) == census([maj(Q, w) for w in words])
 
 
 @given(shapes())

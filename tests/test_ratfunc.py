@@ -23,15 +23,18 @@ from linext.ratfunc import (
     pdiv_exact,
     peval,
     pmul,
-    pneg,
     pnorm,
     poly_str,
     ppow,
     prem_monic,
     pscale,
-    psub,
     qm1_order,
 )
+
+def _at(r: RatFunc, x) -> Fraction:
+    """The exact value of r at the rational point x, read off its parts."""
+    return r.coef * Fraction(peval(r.num, x)) / peval(r.den, x)
+
 
 polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(
     lambda xs: pnorm(tuple(xs))
@@ -50,7 +53,7 @@ def test_ring_axioms(a, b, c):
     assert padd(a, b) == padd(b, a)
     assert pmul(a, b) == pmul(b, a)
     assert pmul(a, padd(b, c)) == padd(pmul(a, b), pmul(a, c))
-    assert psub(padd(a, b), b) == a
+    assert padd(padd(a, b), pscale(b, -1)) == a
 
 
 @given(polys, polys)
@@ -104,10 +107,10 @@ def test_make_over_powers_of_q_plus_1(a, j, k, sign, c):
     num = pmul(a, ppow(Q_PLUS_1, j))
     den = ppow(Q_PLUS_1, k)
     if sign < 0:
-        den = pneg(den)
+        den = pscale(den, -1)
     r = RatFunc.make(num, den, c)
     for x in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
-        assert r.eval(x) == c * Fraction(peval(num, x)) / peval(den, x)
+        assert _at(r, x) == c * Fraction(peval(num, x)) / peval(den, x)
     assert pcontent(r.num) == pcontent(r.den) == 1
     assert r.num[-1] > 0 and r.den[-1] > 0
     assert r.den == ppow(Q_PLUS_1, pdeg(r.den))
@@ -168,7 +171,7 @@ def test_prem_monic():
 
 def test_ratfunc_canonical():
     half = RatFunc.make((1,), (2,))
-    assert half.eval(Fraction(5)) == Fraction(1, 2)
+    assert _at(half, Fraction(5)) == Fraction(1, 2)
     # (q^2-1)/(q+1) reduces to q-1
     r = RatFunc.make((-1, 0, 1), (1, 1))
     assert r == RatFunc.make((-1, 1), (1,))
@@ -226,7 +229,7 @@ def test_add_over_the_larger_power_of_q_plus_1(a, b):
     else:
         assert (s.coef, s.num, s.den) == (0, (1,), (1,))
     for x in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
-        assert s.eval(x) == a.eval(x) + b.eval(x)
+        assert _at(s, x) == _at(a, x) + _at(b, x)
     assert a + (-a) == RF_ZERO
 
 
@@ -234,7 +237,7 @@ def test_add_over_the_larger_power_of_q_plus_1(a, b):
 def test_ratfunc_eval_matches_fraction_arithmetic(a, b, c):
     r = RatFunc.make((a, b), (c,))
     x = Fraction(7, 3)
-    assert r.eval(x) == Fraction(a + b * x, c)
+    assert _at(r, x) == Fraction(a + b * x, c)
 
 
 def test_qm1_divisibility_order():

@@ -29,10 +29,8 @@ from linext.stats import (
     dual_domino_tableaux,
     extension_parity,
     is_dual_domino_word,
-    maj,
     self_evacuating,
     sign_balance_report,
-    w_poly,
     wprime_poly,
 )
 
@@ -51,7 +49,6 @@ def test_descent_statistics_on_words():
     P = antichain(4)
     w = (2, 0, 3, 1)  # descents at positions 1 and 3
     assert descent_set(P, w) == frozenset({1, 3})
-    assert maj(P, w) == 4
     assert comaj(P, w) == (4 - 1) + (4 - 3)
 
 
@@ -60,13 +57,6 @@ def test_wprime_of_antichain_is_gaussian_like():
     poly = wprime_poly(antichain(3))
     assert poly == (1, 2, 2, 1)
     assert peval(poly, 1) == 6
-
-
-def test_w_and_wprime_agree_for_even_p():
-    # comaj = maj mod 2 when p is even, so both polys at -1 agree
-    for name, P in NATURAL_CORPUS.items():
-        if P.p % 2 == 0:
-            assert peval(wprime_poly(P), -1) == peval(w_poly(P), -1)
 
 
 def test_parity_is_inversion_parity():

@@ -22,17 +22,6 @@ from .ratfunc import peval
 SIZE_CAPS = {2: 5, 3: 4}  # q -> largest n
 
 
-def span(vectors, n: int, q: int) -> frozenset:
-    """The subspace spanned by the given vectors, as a set of vectors: from
-    {0}, s + <v> (the union of the cosets s + c v) for each v not yet in s."""
-    out = frozenset({(0,) * n})
-    for v in vectors:
-        if tuple(v) not in out:
-            out = frozenset(tuple((x + c * y) % q for x, y in zip(w, v))
-                            for w in out for c in range(q))
-    return out
-
-
 def _walk(n: int, q: int) -> tuple:
     """(subspaces, covers) of B_n(q) from one walk up from {0}.
 

@@ -29,10 +29,12 @@ that need no word of L(P).
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
-chains of a graded poset, read by one iterative walk that yields leaves alone
-(`_lex_walk`, which also reads maximal chains and dual domino tableaux).  Its
-tau_i rows swap equal blocks of paths, found one depth at a time, and promote,
-evacuate and dual_evacuate grow from them along Stanley's runs tau_1 ... tau_m.
+chains of a graded poset, as prefixes to its nodes of depth p // 2 times their
+suffixes, read by one iterative walk that yields leaves alone (`_lex_walk`,
+which also reads maximal chains and dual domino tableaux).  Its tau_i rows
+swap equal blocks of paths, found one depth at a time, and promote, evacuate
+and dual_evacuate grow from them along Stanley's runs tau_1 ... tau_m, each
+run built when one of its operators is first read.
 """
 
 from __future__ import annotations
@@ -342,11 +344,19 @@ class ExtensionSpace:
     the (letter, child) pairs of x by ascending letter and the nodes by depth:
     `words` (head + letters, in lex order), and on first use rows tau[i]
     (1 <= i < p), tau[i][k] the index of tau_i(words[k]), and `operators`.
-    Only `tau` reads `kids`, so the graph is released once the rows are built."""
+    Only `tau` reads `kids`, so the graph is released once the rows are built.
+    Words are the prefixes of p // 2 letters, from one walk cut at that depth,
+    each joined to every suffix of its middle node, from one walk per node:
+    all in lex order, and as the prefixes are equally long, so are the words."""
 
     def __init__(self, p: int, root, kids: dict, head: tuple = ()):
         self.p, self.root, self.kids = p, root, kids
-        self.words = tuple(path for path, _ in _lex_walk(root, kids.__getitem__, head))
+        middle = {root}  # the nodes at depth p // 2
+        for _ in range(p // 2):
+            middle = {y for x in middle for _, y in kids[x]}
+        tails = {x: [s for s, _ in _lex_walk(x, kids.__getitem__)] for x in middle}
+        prefixes = _lex_walk(root, lambda x: () if x in middle else kids[x], head)
+        self.words = tuple([pre + s for pre, x in prefixes for s in tails[x]])
 
     @cached_property
     def tau(self) -> list:
@@ -393,14 +403,34 @@ class ExtensionSpace:
     @cached_property
     def operators(self) -> dict:
         """{name: array}, array[k] the index of words[k] promoted, evacuated
-        or dual evacuated.  Rows tau_1 .. tau_{p-1} give delta and
-        gamma = delta_{p-1} ... delta_1 with delta_m = tau_1 ... tau_m; rows
-        tau_{p-1} .. tau_1 give gamma* = delta*_1 ... delta*_{p-1} with
-        delta*_k = tau_{p-1} ... tau_k."""
-        rows = self.tau[1:]
-        promote, evacuate = self._runs(rows)
-        _, dual_evacuate = self._runs(rows[::-1])
-        return {"promote": promote, "evacuate": evacuate, "dual_evacuate": dual_evacuate}
+        or dual evacuated (see `_Operators`)."""
+        return _Operators(self.tau[1:], len(self.words))
+
+    def fixed_points(self, name: str) -> list:
+        """The words that the operator `name` fixes, in order."""
+        image = self.operators[name]
+        return [w for k, w in enumerate(self.words) if image[k] == k]
+
+
+class _Operators(dict):
+    """ExtensionSpace.operators, each run built when one of its operators is
+    first read.  Rows tau_1 .. tau_{p-1} of n words give delta (promote) and
+    gamma = delta_{p-1} ... delta_1 with delta_m = tau_1 ... tau_m (evacuate);
+    rows tau_{p-1} .. tau_1 give gamma* = delta*_1 ... delta*_{p-1} with
+    delta*_k = tau_{p-1} ... tau_k (dual_evacuate)."""
+
+    def __init__(self, rows: list, n: int):
+        super().__init__()
+        self.rows, self.n = rows, n
+
+    def __missing__(self, name: str):
+        if name == "dual_evacuate":
+            self[name] = self._runs(self.rows[::-1])[1]
+        elif name in ("promote", "evacuate"):
+            self["promote"], self["evacuate"] = self._runs(self.rows)
+        else:
+            raise KeyError(name)
+        return self[name]
 
     def _runs(self, rows) -> tuple:
         """(D, G) over rows t_1 .. t_r: D = t_1 ... t_r and G = D_r ... D_1 with
@@ -408,17 +438,12 @@ class ExtensionSpace:
         D_{m-1} and D_m before G_{m-1}), each an itemgetter gather.  With at
         most one word both are the identity (itemgetter of one index returns
         no tuple)."""
-        d = g = range(len(self.words))
-        if len(d) > 1:
+        d = g = range(self.n)
+        if self.n > 1:
             for t in rows:
                 d = itemgetter(*d)(t)
                 g = itemgetter(*d)(g)
         return array("i", d), array("i", g)
-
-    def fixed_points(self, name: str) -> list:
-        """The words that the operator `name` fixes, in order."""
-        image = self.operators[name]
-        return [w for k, w in enumerate(self.words) if image[k] == k]
 
 
 SPACE_CACHE_SIZE = 4

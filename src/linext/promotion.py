@@ -79,11 +79,6 @@ def tau_word(P: Poset, word: Word, indices) -> Word:
     return tuple(out)
 
 
-def tau(P: Poset, word: Word, i: int) -> Word:
-    """The single tau_i; raises IndexError unless 1 <= i <= p-1."""
-    return tau_word(P, word, (i,))
-
-
 def rotate_blocks(blocks) -> tuple:
     """Rotate each factor left by one and concatenate.
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linext import posets
+from linext import chains, posets
 from linext.chains import (
     ChainVector,
     GradedPoset,
@@ -168,14 +168,13 @@ def test_non_slender_rejected_on_every_call():
 
 
 def test_chain_listings_and_operators_share_one_walk(monkeypatch):
-    walks = []
-    lex_walk = posets._lex_walk
+    spaces = []  # the root of each ExtensionSpace built
 
-    def counted(*args):
-        walks.append(args[0])
-        return lex_walk(*args)
+    def counted(p, root, kids, head):
+        spaces.append(root)
+        return ExtensionSpace(p, root, kids, head)
 
-    monkeypatch.setattr(posets, "_lex_walk", counted)
+    monkeypatch.setattr(chains, "ExtensionSpace", counted)
     Q = graded(boolean_lattice(4))
     ms = maximal_chains(Q)
     assert len(ms) == 24
@@ -185,7 +184,7 @@ def test_chain_listings_and_operators_share_one_walk(monkeypatch):
     for op in (promote_chain, evacuate_chain, dual_evacuate_chain):
         assert op(Q, m) in ms
     assert tau_chain(Q, m, 1) in ms
-    assert walks == [Q.bottom]
+    assert spaces == [Q.bottom]
     assert not hasattr(Q, "index")
 
 

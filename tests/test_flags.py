@@ -1,17 +1,14 @@
 """Subspace lattices over F_q, Bruhat cells, Hecke consistency."""
 
 import hashlib
-import random
 from fractions import Fraction
 
 import pytest
 
 from linext.chains import ChainVector, linear_tau, maximal_chains
 from linext.flags import (
-    SIZE_CAPS,
     bruhat_cell,
     hecke_consistency,
-    span,
     standard_flag_chain,
     subspace_lattice,
 )
@@ -49,23 +46,6 @@ def test_lattice_covers_are_the_inclusions_of_index_q(n, q):
     )
     assert list(lat.graded.poset.covers) == expected
     assert list(subs) == sorted(subs, key=lambda s: (len(s), sorted(s)))
-
-
-def test_span_of_standard_vectors():
-    s = span([(1, 0), (0, 1)], 2, 2)
-    assert len(s) == 4
-    line = span([(1, 1)], 2, 3)
-    assert len(line) == 3 and (2, 2) in line
-    # random vector lists at every size the lattice allows: the span is the
-    # smallest subspace of the walk that holds them (subspaces come by dimension)
-    rng = random.Random(11)
-    for q, top in SIZE_CAPS.items():
-        for n in range(1, top + 1):
-            subs = subspace_lattice(n, q).subspaces
-            for _ in range(300):
-                vectors = [tuple(rng.randrange(q) for _ in range(n))
-                           for _ in range(rng.randrange(n + 2))]
-                assert span(vectors, n, q) == next(t for t in subs if t.issuperset(vectors))
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])

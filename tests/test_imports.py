@@ -1,7 +1,8 @@
 """Every name a module of the package imports is read in that module, every
 private top-level name of a module is read somewhere in the package, every
 defaulted parameter is passed by some call in the program, and every public
-top-level function of the package is read by the program."""
+top-level function of the package is read by the program through its own
+module."""
 
 import ast
 from pathlib import Path
@@ -159,55 +160,62 @@ PROGRAM_UNREAD = {
 
 
 def _unread_public_functions(package: dict, program: dict) -> list:
-    """(module, name) for each public top-level function of `package` that no
-    source of `program` reads, as a name, an attribute or an import, outside
-    a def of that name; reads are matched by name alone."""
-    read = set()
+    """(file name, function) for each public top-level function of the
+    `package` sources that no source of the `program` reads through the
+    function's own module, outside a def of that name: as a name in that
+    module, as a name imported from it, or as the attribute <module>.<name>.
+    Both dicts are keyed by path, the package's paths among the program's."""
+    read = set()  # (module stem, name)
 
-    def visit(node, inside):
+    def visit(node, path, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names = [node.id]
+            pairs = [(Path(path).stem, node.id)] if path in package else []
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.ImportFrom):
-            names = [a.name for a in node.names]
+            owner = node.value
+            pairs = [(getattr(owner, "id", None) or getattr(owner, "attr", None), node.attr)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            pairs = [(node.module.split(".")[-1], a.name) for a in node.names]
         else:
-            names = []
-        read.update(n for n in names if n not in inside)
+            pairs = []
+        read.update((module, name) for module, name in pairs if name not in inside)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, path, inside)
 
-    for source in program.values():
-        visit(ast.parse(source), frozenset())
+    for path, source in program.items():
+        visit(ast.parse(source), path, frozenset())
     return sorted(
-        (module, node.name)
-        for module, source in package.items()
+        (Path(path).name, node.name)
+        for path, source in package.items()
         for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_") and node.name not in read
+        and not node.name.startswith("_") and (Path(path).stem, node.name) not in read
     )
 
 
 def test_every_public_function_is_read_by_the_program():
     toy = {
-        "a.py": ("def f(): pass\n"
-                 "def g(n): return g(n - 1)\n"
-                 "def h(): pass\n"
-                 "def k(): pass\n"
-                 "def _p(): pass\n"
-                 "class C:\n"
-                 "    def m(self): pass\n"
-                 "x = k()\n"),
-        "b.py": "def unread(): pass\n",
+        "pkg/a.py": ("def f(): pass\n"
+                     "def g(n): return g(n - 1)\n"
+                     "def h(): pass\n"
+                     "def k(): pass\n"
+                     "def _p(): pass\n"
+                     "def span(): pass\n"
+                     "class C:\n"
+                     "    def m(self): pass\n"
+                     "x = k()\n"),
+        "pkg/b.py": "def unread(): pass\ndef tau(): pass\n",
     }
-    program = {**toy, "c.py": "from a import h\nimport a\na.f\n"}
-    # g reads only itself and nothing reads unread; private names and methods
-    # are the other rules' business
-    assert _unread_public_functions(toy, program) == [("a.py", "g"), ("b.py", "unread")]
-    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    program = {**toy, "tools/c.py": ("from pkg.a import h\nimport pkg.a\na.f\n"
+                                     "span = 1\nprint(span, C().tau)\nfrom pkg.d import unread\n")}
+    # g reads only itself and nothing reads unread; span and tau collide with a
+    # name and an attribute of other owners, and the import of unread is
+    # another module's; private names and methods are the other rules' business
+    assert _unread_public_functions(toy, program) == [
+        ("a.py", "g"), ("a.py", "span"), ("b.py", "tau"), ("b.py", "unread")]
     program = _program()
+    package = {path: source for path, source in program.items() if path.startswith("src/linext/")}
     # a floor on the scan's reach: the package and both other program directories
     assert len(package) >= 10
     assert {path.split("/")[0] for path in program} == {"src", "scripts", "perfbench"}

@@ -37,7 +37,8 @@ from linext.posets import (
     restrict,
     shape_poset,
 )
-from linext.stats import dual_domino_tableaux
+from linext.promotion import dual_evacuate, extension_permutation
+from linext.stats import dual_domino_tableaux, self_evacuating
 
 # Random small posets: pick a subset of pairs (a, b) with a < b as relations,
 # so the digraph is automatically acyclic.
@@ -392,7 +393,8 @@ def test_spaces_are_pinned_by_digest():
     got = {
         "words": _digest(s.words for s, _ in spaces.values()),
         "tau": _digest(s.tau for s, _ in spaces.values()),
-        "operators": _digest(s.operators for s, _ in spaces.values()),
+        "operators": _digest({n: s.operators[n] for n in ("promote", "evacuate", "dual_evacuate")}
+                             for s, _ in spaces.values()),
         "fixed_points": _digest(s.fixed_points("evacuate") for s, _ in spaces.values()),
         "maximal_chains": _digest(maximal_chains(P) for _, P in spaces.values()),
         # left out: J(4,4,4), whose domino walk meets only dead ends for 5 s,
@@ -444,6 +446,27 @@ def test_lex_walk_edges():
     assert maximal_chains(chain(1)) == [(0,)]
     # p = 3 starts with one element, then finds no two-element chain to add
     assert dual_domino_tableaux(antichain(3)) == []
+
+
+def test_each_run_is_built_when_one_of_its_operators_is_first_read(monkeypatch):
+    runs, run = [], posets._Operators._runs
+    monkeypatch.setattr(posets._Operators, "_runs", lambda self, rows: runs.append(rows) or run(self, rows))
+    P = shape_poset(Shape((3, 3)))
+    names = ("promote", "evacuate", "dual_evacuate")
+    for read, count, built in (
+        (lambda: None, 0, set()),
+        (lambda: self_evacuating(P), 1, {"promote", "evacuate"}),  # the forward run alone
+        (lambda: extension_permutation(P, dual_evacuate), 1, {"dual_evacuate"}),  # the backward run alone
+        (lambda: [posets.extension_space(P).operators[name] for name in names * 2], 2, set(names)),
+    ):
+        monkeypatch.setattr(posets, "_SPACES", {})
+        runs.clear()
+        read()
+        ops = posets.extension_space(P).operators
+        assert (len(runs), set(ops)) == (count, built)
+        with pytest.raises(KeyError, match="promote_p"):
+            ops["promote_p"]
+        assert (len(runs), set(ops)) == (count, built)
 
 
 def test_extension_space_asks_only_the_elements_an_ideal_can_gain(monkeypatch):

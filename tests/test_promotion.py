@@ -37,7 +37,7 @@ from linext.promotion import (
     promote_slide,
     promotion_blocks,
     rotate_blocks,
-    tau,
+    tau_word,
     trajectory,
 )
 
@@ -54,17 +54,17 @@ def test_tau_involution_and_commutation(name, data):
         return
     w = data.draw(st.sampled_from(list(linear_extensions(P))))
     i = data.draw(st.integers(1, P.p - 1))
-    assert tau(P, tau(P, w, i), i) == w
+    assert tau_word(P, tau_word(P, w, (i,)), (i,)) == w
     if P.p >= 4:
         j = data.draw(st.integers(1, P.p - 1))
         if abs(i - j) >= 2:
-            assert tau(P, tau(P, w, i), j) == tau(P, tau(P, w, j), i)
+            assert tau_word(P, w, (i, j)) == tau_word(P, w, (j, i))
 
 
 def test_tau_swaps_only_incomparable():
     P = poset_from_covers(3, [(0, 1)])  # 2 incomparable to both
-    assert tau(P, (0, 1, 2), 1) == (0, 1, 2)       # 0 < 1: fixed
-    assert tau(P, (0, 1, 2), 2) == (0, 2, 1)       # 1 || 2: swapped
+    assert tau_word(P, (0, 1, 2), (1,)) == (0, 1, 2)  # 0 < 1: fixed
+    assert tau_word(P, (0, 1, 2), (2,)) == (0, 2, 1)  # 1 || 2: swapped
 
 
 # --- block factorization ------------------------------------------------------
@@ -168,7 +168,7 @@ def test_extension_permutation_rejects_other_operators():
     with pytest.raises(ValueError, match="unknown operator"):
         extension_permutation(P, lambda P, w: w)
     with pytest.raises(ValueError, match="unknown operator"):
-        extension_permutation(P, tau)
+        extension_permutation(P, tau_word)
 
 
 @given(st.sampled_from(sorted(CORPUS)))

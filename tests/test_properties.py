@@ -1,9 +1,10 @@
 """Operator identities by property over random posets, not only the corpus."""
 
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linext import posets
@@ -14,6 +15,7 @@ from linext.chains import (
     graded_from_poset,
     promote_chain,
 )
+from linext.flags import subspace_lattice
 from linext.posets import (
     CapExceeded,
     CycleError,
@@ -51,7 +53,6 @@ from linext.promotion import (
     permutation_power,
     promote,
     promote_slide,
-    tau,
     tau_word,
 )
 from linext.ratfunc import pnorm
@@ -76,6 +77,25 @@ def dag_posets(draw, max_p=7):
     pairs = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
                           max_size=2 * p))
     return poset_from_covers(p, [(ids[s], ids[t]) for s, t in pairs if s < t])
+
+
+@st.composite
+def graded_posets(draw, max_height=5):
+    """A random graded poset with one bottom and one top, 1 to 3 elements per
+    inner rank: each element covers a nonempty set of the rank below, and
+    each element under the top is covered, so intervals may have 3 middles."""
+    ranks = [[0]]
+    height = draw(st.integers(1, max_height))
+    for r in range(1, height + 1):
+        start = ranks[-1][-1] + 1
+        ranks.append(list(range(start, start + (1 if r == height else draw(st.integers(1, 3))))))
+    covers = set()
+    for below, above in zip(ranks, ranks[1:]):
+        for t in above:
+            covers.update((s, t) for s in draw(st.lists(st.sampled_from(below), min_size=1, unique=True)))
+        covers.update((s, draw(st.sampled_from(above))) for s in below
+                      if not any((s, t) in covers for t in above))
+    return graded_from_poset(poset_from_covers(ranks[-1][-1] + 1, covers))
 
 
 @st.composite
@@ -140,8 +160,6 @@ def test_tau_index_out_of_range(Pw, i):
         return
     with pytest.raises(IndexError):
         tau_word(P, w, (i,))
-    with pytest.raises(IndexError):
-        tau(P, w, i)
 
 
 @given(poset_and_extension(max_p=6))
@@ -201,7 +219,7 @@ def test_extension_space_matches_reference_routes(P):
     words = space.words
     assert list(words) == list(linear_extensions(P))
     for i in range(1, P.p):
-        assert [words[k] for k in space.tau[i]] == [tau(P, w, i) for w in words]
+        assert [words[k] for k in space.tau[i]] == [tau_word(P, w, (i,)) for w in words]
     for name, taus, ref in (
         ("promote", delta_word(P.p), lambda w: promote_slide(P, w)[0]),
         ("evacuate", gamma_word(P.p), lambda w: evacuate_by_freezing(P, w)),
@@ -213,6 +231,24 @@ def test_extension_space_matches_reference_routes(P):
         for i in taus:
             cur = [space.tau[i][x] for x in cur]
         assert list(space.operators[name]) == list(cur)
+
+
+@given(dag_posets())
+@example(antichain(0))
+@example(antichain(1))
+@settings(max_examples=100, deadline=None)
+def test_extension_space_lists_every_extension_in_lex_order(P):
+    # each word is a prefix to the middle layer of J(P) and a suffix from it
+    assert list(extension_space(P).words) == sorted(filter(P.is_extension, permutations(range(P.p))))
+
+
+@given(st.one_of(graded_posets(), dag_posets(max_p=5).map(lambda P: graded_from_poset(ideals_lattice(P)[0]))))
+@example(subspace_lattice(2, 2).graded)  # height 2, three middles
+@example(subspace_lattice(3, 2).graded)  # height 3, seven atoms
+@example(graded_from_poset(chain(1)))
+@settings(max_examples=100, deadline=None)
+def test_chain_space_lists_the_maximal_chains(Q):
+    assert list(Q.space.words) == maximal_chains(Q.poset)
 
 
 @given(dag_posets(max_p=6))

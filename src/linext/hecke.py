@@ -26,10 +26,10 @@ from .ratfunc import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
-    IntPoly,
     RatFunc,
     _qp1_power,
     _split_content,
+    _unpack,
     ppow,
     qm1_order,
 )
@@ -143,20 +143,6 @@ def _pack_width(n: int) -> int:
     exactly, and d(2^B) = d(-1) mod 2^B + 1 is 0 just when (q+1) divides d.
     """
     return 3 * (n * (n - 1) // 2) + 2
-
-
-def _unpack(x: int, width: int) -> IntPoly:
-    """The polynomial p with p(2^width) = x and every coefficient in
-    [-2^(width-1), 2^(width-1)): x's signed base-2^width digits, ascending."""
-    mask, half, digits = (1 << width) - 1, 1 << (width - 1), []
-    while x:
-        d = x & mask
-        x >>= width
-        if d >= half:  # a negative digit borrowed 1 from the next one
-            d -= mask + 1
-            x += 1
-        digits.append(d)
-    return tuple(digits)
 
 
 def _expand_packed(n: int) -> dict:

@@ -23,9 +23,9 @@ for the message, off that walk of J(P).  `count_extensions` and `ideals`
 e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q), whose rows
 `ideals` merges by keyless sorts of twins m | rev(m) << p, rev(m) being m's
 bits reversed.  The ideal cap is checked against the product of the |J(C)|,
-which is |J(P)|.  Its weighted sibling `_path_sums` walks J(P) whole over
-(ideal, last element) states, one packed polynomial each, for the statistics
-that need no word of L(P).
+which is |J(P)|.  Given a step, the same walk runs over J(P) whole with
+(ideal, last element) states and pushes any additive value along each step
+(`_path_sum`): the statistics that need no word of L(P).
 
 An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
@@ -243,7 +243,7 @@ def _components(P: Poset) -> list:
     return components
 
 
-def _ideal_layers(joins: list, message: str) -> Iterator[dict]:
+def _ideal_layers(joins: list, message: str, step=None) -> Iterator[dict]:
     """Walk J(C) upward from the empty ideal, one size at a time, for the
     elements C that `joins` (as `_joins` gives it) files, in P's own bits.
 
@@ -253,62 +253,49 @@ def _ideal_layers(joins: list, message: str) -> Iterator[dict]:
     pushes the path count of every ideal that gains t.  CapExceeded(message)
     is raised after the first pass that brings the number of ideals found
     past DEFAULT_IDEAL_CAP.
+
+    With a `step`, a state is (mask, last), (0, -1) holding 1, and
+    step(mask, last, t, value) gives the (last, value), additive in value,
+    that adding t pushes to mask | 1 << t.  The cap then counts states, and
+    the bits of the values built, summed per layer, may not pass 2048 times it.
     """
-    layer = {0: 1}
-    found = 1
+    layer = {0: 1} if step is None else {(0, -1): 1}
+    found, bits = 1, 0
     for down_sets in joins:
         yield layer
         nxt = {}
         get = nxt.get
         for bit, geq, below in down_sets:
-            for mask, paths in layer.items():
-                if mask & geq == below:
-                    up = mask | bit
-                    nxt[up] = get(up, 0) + paths
+            if step is None:
+                for mask, paths in layer.items():
+                    if mask & geq == below:
+                        up = mask | bit
+                        nxt[up] = get(up, 0) + paths
+            else:
+                t = bit.bit_length() - 1
+                for (mask, last), value in layer.items():
+                    if mask & geq == below:
+                        last, value = step(mask, last, t, value)
+                        key = mask | bit, last
+                        nxt[key] = get(key, 0) + value
             if found + len(nxt) > DEFAULT_IDEAL_CAP:
                 raise CapExceeded(message)
         found += len(nxt)
+        if step is not None:
+            bits += sum(map(int.bit_length, nxt.values()))
+            if bits > DEFAULT_IDEAL_CAP << 11:
+                raise CapExceeded(message)
         layer = nxt
 
 
-def _path_sums(P: Poset, weight) -> list:
-    """[c_0, c_1, ...]: c_k the number of words of L(P) whose steps' weights
-    sum to k, weight(I, last, t) that of the step adding t to the ideal I whose
-    last element is `last` (-1 before the first step).
-
-    One walk of J(P) over (ideal, last element) states, one size at a time,
-    each state asking the elements that `_joins` files under its size.  A
-    state holds its polynomial packed into one int, coefficient k from bit
-    k * width up, with width = e(P).bit_length() + 1, as no count passes e(P).
-    count_extensions, run first, applies the ideal cap.  CapExceeded is raised
-    once the states built pass DEFAULT_IDEAL_CAP, or once the bits of the
-    polynomials built, summed after each pass, pass 2048 per such state
-    (256 MiB at the default): a state's polynomial can hold C(p, 2) + 1
-    coefficients, so the states alone do not bound the walk.
-    """
-    width = count_extensions(P).bit_length() + 1
-    budget = DEFAULT_IDEAL_CAP << 11
+def _path_sum(P: Poset, step) -> int:
+    """The sum over the words of L(P) of the value that `step` (see
+    `_ideal_layers`) carries along each, from 1, as maximal chains of J(P)."""
     message = (f"path sums over J(P) of a {P.p}-element poset need more than "
-               f"{DEFAULT_IDEAL_CAP} states or {budget} bits")
-    layer, found, bits = {(0, -1): 1}, 1, 0
-    for down_sets in _joins(P, range(P.p))[:P.p]:
-        nxt = {}
-        get = nxt.get
-        for bit, geq, below in down_sets:
-            t = bit.bit_length() - 1
-            for (mask, last), poly in layer.items():
-                if mask & geq == below:
-                    key = mask | bit, t
-                    nxt[key] = get(key, 0) + (poly << weight(mask, last, t) * width)
-            if found + len(nxt) > DEFAULT_IDEAL_CAP:
-                raise CapExceeded(message)
-        found += len(nxt)
-        bits += sum(map(int.bit_length, nxt.values()))
-        if bits > budget:
-            raise CapExceeded(message)
-        layer = nxt
-    total = sum(layer.values())
-    return [total >> k * width & (1 << width) - 1 for k in range(total.bit_length() // width + 1)]
+               f"{DEFAULT_IDEAL_CAP} states or {DEFAULT_IDEAL_CAP << 11} bits")
+    for layer in _ideal_layers(_joins(P, range(P.p)), message, step):
+        pass
+    return sum(layer.values())
 
 
 def _lex_walk(root, kids, head: tuple = ()) -> Iterator[tuple]:
@@ -568,7 +555,7 @@ def ideals_lattice(P: Poset):
     Returns (lattice, members) where members[i] is the frozenset of P-elements
     of the ideal with lattice id i.  Cover pairs are (I, I + {t}) with t
     minimal in the complement of I; they are exact, so no reduction runs.
-    CapExceeded if its closure, 2 |J(P)|^2 bits, passes `_path_sums`' budget.
+    CapExceeded if its closure, 2 |J(P)|^2 bits, passes `_ideal_layers`' budget.
     """
     masks = ideals(P)
     bits, budget = 2 * len(masks) ** 2, DEFAULT_IDEAL_CAP << 11

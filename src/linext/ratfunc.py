@@ -85,6 +85,20 @@ def peval(a: IntPoly, x):
     return r
 
 
+def _unpack(x: int, width: int) -> IntPoly:
+    """The polynomial p with p(2^width) = x and every coefficient in
+    [-2^(width-1), 2^(width-1)): x's signed base-2^width digits, ascending."""
+    mask, half, digits = (1 << width) - 1, 1 << (width - 1), []
+    while x:
+        d = x & mask
+        x >>= width
+        if d >= half:  # a negative digit borrowed 1 from the next one
+            d -= mask + 1
+            x += 1
+        digits.append(d)
+    return tuple(digits)
+
+
 def pcontent(a: IntPoly) -> int:
     return gcd(*a)
 

@@ -2,7 +2,7 @@
 
 F(q) is computed two ways on rectangles: by summing q^maj over the standard
 tableaux and by the hook-length closed form.  Elsewhere F_poly reads it as
-a path sum over J(P) (`posets._path_sums`), listing no tableau.  The
+a path sum over J(P) (`posets._path_sum`), listing no tableau.  The
 root-of-unity evaluation is exact cyclotomic arithmetic, so the sieving
 identity e_d = F(zeta^d) is checked with zero tolerance.
 """
@@ -17,7 +17,8 @@ from .posets import (
     Poset,
     Shape,
     Word,
-    _path_sums,
+    _path_sum,
+    count_extensions,
     extension_space,
     linear_extensions,
     shape_poset,
@@ -26,6 +27,7 @@ from .promotion import dihedral_group_order, orbit_structure, permutation_power
 from .ratfunc import (
     IntPoly,
     ONE_POLY,
+    _unpack,
     cyclotomic,
     pdiv_exact,
     pmul,
@@ -106,9 +108,10 @@ def F_poly(s: Shape) -> IntPoly:
     last = -1, and weighs 0 whatever it finds, as i = 0."""
     if not s.shifted and len(set(s.rows)) == 1:
         return f_poly_hook(s)
-    rows = _row_table(s)
-    return pnorm(_path_sums(shape_poset(s),
-                            lambda mask, last, t: mask.bit_count() if rows[t] > rows[last] else 0))
+    rows, P = _row_table(s), shape_poset(s)
+    width = count_extensions(P).bit_length() + 1
+    return _unpack(_path_sum(P, lambda mask, last, t, poly: (
+        t, poly << mask.bit_count() * width if rows[t] > rows[last] else poly)), width)
 
 
 def eval_at_root(F: IntPoly, p: int, d: int) -> int:

@@ -6,9 +6,10 @@ poset relabel it first via natural_relabel; W'_P only depends on P up to
 isomorphism, so this is harmless.
 
 W'_P and the sign census read no word of L(P): each is a path sum over
-J(P) (`posets._path_sums`), the weight of a step set by the letter it adds
-and the one before it.  The self-evacuating words are the fixed points of
-evacuation's index array on the poset's cached ExtensionSpace.
+J(P) (`posets._path_sum`), W'_P's over (ideal, last letter) states, the
+sign census's over ideals alone, as a step's sign reads no last letter.
+The self-evacuating words are the fixed points of evacuation's index array
+on the poset's cached ExtensionSpace.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .posets import (
     _joins,
     _lex_walk,
     _mask_members,
-    _path_sums,
+    _path_sum,
+    count_extensions,
     extension_space,
     is_natural,
 )
 from .promotion import cycle_lengths, odd_falling_word, tau_word
-from .ratfunc import IntPoly, pnorm
+from .ratfunc import IntPoly, _unpack
 
 
 class NotNaturalError(ValueError):
@@ -56,10 +58,12 @@ def comaj(P: Poset, word: Word) -> int:
 
 def wprime_poly(P: Poset) -> IntPoly:
     """W'_P(x) = sum over linear extensions of x^comaj: the path sum over J(P)
-    in which the step adding t < last to an ideal of size i weighs p - i."""
+    in which the step adding t < last to an ideal of size i weighs p - i,
+    packed one coefficient per `width` bits, as none passes e(P)."""
     _require_natural(P)
-    p = P.p
-    return pnorm(_path_sums(P, lambda mask, last, t: p - mask.bit_count() if t < last else 0))
+    p, width = P.p, count_extensions(P).bit_length() + 1
+    return _unpack(_path_sum(P, lambda mask, last, t, poly: (
+        t, poly << (p - mask.bit_count()) * width if t < last else poly)), width)
 
 
 def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
@@ -163,9 +167,9 @@ def sign_balance_report(P: Poset) -> SignBalanceReport:
     """The parity census of L(P) plus the two sign-balance hypotheses.
 
     The census is a path sum over J(P): the step adding t to an ideal I adds
-    the |I & {t+1, ..., p-1}| inversions of t with the letters before it, and
-    only their parity is kept, so even and odd are the sums of the even and
-    the odd coefficients.
+    the |I & {t+1, ..., p-1}| inversions of t with the letters before it, so
+    it negates the count when that number is odd, and reads no last letter.
+    The signed sum is even - odd, and e(P) is even + odd.
 
     (a) every maximal chain length l (edge count) satisfies p = l mod 2;
     (b) for every t the maximal chains of the principal ideal below t have
@@ -179,8 +183,9 @@ def sign_balance_report(P: Poset) -> SignBalanceReport:
     each t, the parities of their lengths (bit k for length = k mod 2) and
     the longest length.
     """
-    parities = _path_sums(P, lambda mask, last, t: (mask >> t).bit_count() & 1)
-    even, odd = sum(parities[0::2]), sum(parities[1::2])
+    e = count_extensions(P)
+    signed = _path_sum(P, lambda mask, last, t, paths: (-1, -paths if (mask >> t).bit_count() & 1 else paths))
+    even, odd = (e + signed) // 2, (e - signed) // 2
 
     p = P.p
     parity, longest = [0] * p, [0] * p

@@ -560,15 +560,18 @@ def test_statistic_walk_exits_3_at_its_caps(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 2000)  # and 2000 * 2048 bits
     message = ("cap exceeded: path sums over J(P) of a {}-element poset "
                "need more than 2000 states or 4096000 bits\n")
-    # antichain(10): 1024 ideals pass the cap, its 5121 (ideal, last) states do not
+    # antichain(10): 1024 ideals pass the cap, W'_P's 5121 (ideal, last) states
+    # do not; the sign census's states are the ideals
     f = tmp_path / "a10.poset"
     f.write_text("p=10\n")
     code, out, _ = run_cli(["count", "--poset", str(f)], capsys)
     assert (code, out) == (0, "e\n3628800\n")
-    for stat in ("wprime", "signbalance"):
-        assert run_cli(["stats", stat, "--poset", str(f)], capsys) == (3, "", message.format(10))
+    assert run_cli(["stats", "wprime", "--poset", str(f)], capsys) == (3, "", message.format(10))
+    code, out, _ = run_cli(["stats", "signbalance", "--poset", str(f), "--format", "json"], capsys)
+    [row] = json.loads(out)
+    assert code == 0 and (row["even"], row["odd"]) == (1814400, 1814400)
     # two 20-element chains: 441 ideals and 841 states pass, but W'_P's
-    # polynomials take 6389040 bits; the sign census's take 318992
+    # polynomials take 6389040 bits; the sign census's counts take 2317
     f = _chains_file(tmp_path / "c2x20.poset", 2, 20)
     assert run_cli(["stats", "wprime", "--poset", f], capsys) == (3, "", message.format(40))
     code, out, _ = run_cli(["stats", "signbalance", "--poset", f, "--format", "json"], capsys)

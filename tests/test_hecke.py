@@ -13,7 +13,6 @@ from linext.hecke import (
     _coefficients,
     _expand_numerators,
     _pack_width,
-    _unpack,
     c_w,
     check_thm_cid,
     cid_closed_form,
@@ -25,7 +24,7 @@ from linext.hecke import (
 )
 from linext.posets import CapExceeded
 from linext.promotion import gamma_word
-from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, peval, pnorm, ppow, qm1_order
+from linext.ratfunc import Q_MINUS_1, RF_ONE, RF_Q, RF_ZERO, RatFunc, _unpack, peval, pnorm, ppow, qm1_order
 
 S4 = list(permutations((1, 2, 3, 4)))
 

@@ -390,9 +390,13 @@ def all_elements_layers(P) -> list:
 @given(st.one_of(dag_posets(max_p=10), st.integers(0, 12).map(chain), st.integers(0, 10).map(antichain)))
 @settings(max_examples=150, deadline=None)
 def test_windowed_walk_matches_the_all_elements_walk(P):
-    # same layers, keys, path counts and insertion order, p = 0 included
-    got = [list(layer.items()) for layer in _ideal_layers(_joins(P, range(P.p)), "unreachable")]
-    assert got == all_elements_layers(P)
+    # same layers, keys, path counts and insertion order, p = 0 included; with
+    # an identity step too, its states (mask, -1)
+    joins, want = _joins(P, range(P.p)), all_elements_layers(P)
+    got = [list(layer.items()) for layer in _ideal_layers(joins, "unreachable")]
+    assert got == want
+    got = [list(layer.items()) for layer in _ideal_layers(joins, "unreachable", lambda m, last, t, v: (-1, v))]
+    assert got == [[((mask, -1), paths) for mask, paths in layer] for layer in want]
 
 
 @st.composite

@@ -6,13 +6,14 @@ tau_i on the chain vector space of an arbitrary graded poset.
 
 Each GradedPoset caches its table of rank-2 interval middles and its maximal
 chains, slender or not, as a posets.ExtensionSpace: the paths up its covers
-from the bottom, listed once in lex order by one walk.  Every chain listing
-here reads them, a chain is found by bisecting them, and their tau_i rows come
-from the rule that fills those of L(P), which raises unless the poset is
-slender.  So chain promotion and (dual) evacuation are lookups in the
+from the bottom, listed once in lex order by one walk.  Every maximal chain
+listing here reads them, a chain is found by bisecting them, and their tau_i
+rows come from the rule that fills those of L(P), which raises unless the
+poset is slender.  So chain promotion and (dual) evacuation are lookups in the
 `operators` arrays that serve linear extensions, grown along the same runs.
 `linext verify crosspoly` checks them against the signed closed forms, and
-`linext verify eq7` against the linear delta, +-1 per chain.
+`linext verify eq7` against the linear delta, +-1 per chain.  Dual domino
+chains are walked up the covers as J(P)'s are (`posets._dual_dominoes`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from .posets import CapExceeded, ExtensionSpace, Poset, _poset_from_reduced
+from .posets import DEFAULT_IDEAL_CAP, CapExceeded, ExtensionSpace, Poset, _dual_dominoes, _poset_from_reduced
 from .promotion import delta_word, dihedral_group_order, gamma_word
 
 
@@ -121,19 +122,13 @@ def self_evacuating_chains(Q: GradedPoset) -> list:
 
 
 def dual_domino_chains(Q: GradedPoset) -> list:
-    """Chains bottom = t_0 < ... < t_r = top whose steps are rank-2 chain
-    intervals (unique middle), with a single cover step first when the rank
-    of Q is odd; sorted.
-
-    "Two-element chain" is read as the half-open step (t_{i-1}, t_i]: a
-    rank-2 interval that is a chain contributes the two new elements, the
-    odd-rank first step contributes one.  With k = height mod 2, these are
-    m[:k] + m[k::2] for the maximal chains m whose steps along m[k::2] have
-    one middle each.
-    """
-    k = Q.height % 2
-    return sorted(m[:k] + m[k::2] for m in maximal_chains(Q)
-                  if all(len(Q.rank2[s, t]) == 1 for s, t in zip(m[k::2], m[k + 2::2])))
+    """The chains bottom = t_0 < ... < t_r = top, sorted, that take a cover
+    step first when the rank of Q is odd and then steps (t_{i-1}, t_i] whose
+    rank-2 interval is a chain (one middle), walked up the covers by
+    `posets._dual_dominoes`, which lists no maximal chain."""
+    message = (f"dual domino chains of a {Q.poset.p}-element graded poset need more than "
+               f"{DEFAULT_IDEAL_CAP} elements")
+    return sorted(_dual_dominoes(Q.bottom, Q.top, Q.poset.up.__getitem__, Q.height % 2, message))
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,6 @@ class HeckeElt:
     def scale(self, c: RatFunc) -> "HeckeElt":
         return HeckeElt(self.n, {w: x * c for w, x in self.terms.items()})
 
-    def inverse(self) -> "HeckeElt":
-        """The image under the anti-involution T_w -> T_{w^-1}."""
-        # w^-1(k) is the position of k in w
-        return HeckeElt(self.n, {
-            tuple(w.index(k) + 1 for k in range(1, self.n + 1)): c
-            for w, c in self.terms.items()
-        })
-
     def mul_gen_right(self, i: int) -> "HeckeElt":
         """Right multiplication by T_i."""
         if not 1 <= i <= self.n - 1:

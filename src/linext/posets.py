@@ -31,7 +31,8 @@ An ExtensionSpace holds the maximal paths of a graded DAG in lex order: L(P)
 from J(P), kept for the SPACE_CACHE_SIZE posets built last, or the maximal
 chains of a graded poset, as prefixes to its nodes of depth p // 2 times their
 suffixes, read by one iterative walk that yields leaves alone (`_lex_walk`,
-which also reads maximal chains and dual domino tableaux).  Its tau_i rows
+which also reads maximal chains and the dual domino chains of any graded
+DAG, `_dual_dominoes`: J(P)'s or a graded poset's).  Its tau_i rows
 swap equal blocks of paths, found one depth at a time, and promote, evacuate
 and dual_evacuate grow from them along Stanley's runs tau_1 ... tau_m, each
 run built when one of its operators is first read.
@@ -318,6 +319,37 @@ def _lex_walk(root, kids, head: tuple = ()) -> Iterator[tuple]:
             stack.pop()
             if stack:
                 path.pop()
+
+
+def _dual_dominoes(root, top, kids, odd, message: str) -> Iterator[tuple]:
+    """Stanley's dual domino chains root < ... < top of a graded DAG whose
+    children kids(x) lists in order (on J(P), the dual P-domino tableaux), as
+    node tuples in lex order: a first step to kids(root) when `odd`, then to
+    each z two ranks up that exactly one middle y leads to (y in kids(x),
+    z in kids(y)), as first met.  Each node's steps are built once, raising
+    CapExceeded(message) past DEFAULT_IDEAL_CAP nodes.  A node met again has
+    ended its walk: unless a chain found so far passed it, it is left out."""
+    built, live = {}, set()
+
+    def steps(x):
+        zs = built.get(x)
+        if zs is None:
+            if len(built) >= DEFAULT_IDEAL_CAP:
+                raise CapExceeded(message)
+            zs = kids(x)
+            if x != root or not odd:
+                middles = {}  # z: the number of middles y in zs that lead to it, as first met
+                for y in zs:
+                    for z in kids(y):
+                        middles[z] = middles.get(z, 0) + 1
+                zs = [z for z, n in middles.items() if n == 1]
+            built[x] = zs
+        return [(z, z) for z in zs if z in live or z not in built]
+
+    for path, x in _lex_walk(root, steps, (root,)):
+        if x == top:
+            live.update(path)
+            yield path
 
 
 def linear_extensions(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> Iterator[Word]:

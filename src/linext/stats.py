@@ -9,7 +9,8 @@ W'_P and the sign census read no word of L(P): each is a path sum over
 J(P) (`posets._path_sum`), W'_P's over (ideal, last letter) states, the
 sign census's over ideals alone, as a step's sign reads no last letter.
 The self-evacuating words are the fixed points of evacuation's index array
-on the poset's cached ExtensionSpace.
+on the poset's cached ExtensionSpace, and the dual domino tableaux are the
+dual domino chains of J(P) (`posets._dual_dominoes`).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .posets import (
     Poset,
     Word,
     _addable,
-    _down_sets,
+    _dual_dominoes,
     _joins,
-    _lex_walk,
     _mask_members,
     _path_sum,
     count_extensions,
@@ -45,15 +45,12 @@ def _require_natural(P: Poset):
         raise NotNaturalError("poset is not a natural partial order; relabel first")
 
 
-def descent_set(P: Poset, word: Word) -> frozenset:
-    """D(w) = {i : a_i > a_{i+1}} (1-based positions, natural labels)."""
-    _require_natural(P)
-    return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
-
-
 def comaj(P: Poset, word: Word) -> int:
+    """The sum of p - i over the descents i of the word, the 1-based
+    positions with a_i > a_{i+1} (natural labels)."""
+    _require_natural(P)
     p = len(word)
-    return sum(p - i for i in descent_set(P, word))
+    return sum(p - i for i in range(1, p) if word[i - 1] > word[i])
 
 
 def wprime_poly(P: Poset) -> IntPoly:
@@ -72,39 +69,22 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     A step adds a two-element chain {s, t} with s < t; the first step adds a
     single element when p is odd.  Raises CapExceeded past `cap` tableaux.
 
-    The lex walk runs over ideal masks.  Each ideal's steps are found once,
-    and CapExceeded is raised once more than DEFAULT_IDEAL_CAP ideals have
-    been expanded.  An expanded ideal is met again only after its walk has
-    ended, so unless a tableau passed through it, it is a dead end and is
-    left out of the steps that lead to it.
+    These are the dual domino chains of J(P) (`posets._dual_dominoes`) on ideal
+    masks: m | s | t has the one middle m | s exactly when t covers s.
     """
-    full = (1 << P.p) - 1
     joins = _joins(P, range(P.p))
-    above = [_down_sets(P, P.up[s]) for s in range(P.p)]
-    expanded, live = {}, {}  # live: {mask: its frozenset} per ideal on a tableau found
-
-    def steps(mask):  # (m, m) per ideal m one step up from `mask`, by (s, t), bar dead ends
-        ms = expanded.get(mask)
-        if ms is None:
-            if len(expanded) >= posets.DEFAULT_IDEAL_CAP:
-                raise CapExceeded(f"dual domino tableaux of a {P.p}-element poset need more than "
-                                  f"{posets.DEFAULT_IDEAL_CAP} order ideals")
-            ms = [mask | bit for bit in _addable(joins[mask.bit_count()], mask)]
-            if mask or not P.p % 2:  # bar an odd p's first step; a t > s addable now covers s
-                ms = [m | bit for m in ms for bit in _addable(above[(m ^ mask).bit_length() - 1], m)]
-            expanded[mask] = ms
-        return [(m, m) for m in ms if m in live or m not in expanded]
-
-    out = []
-    for path, mask in _lex_walk(0, steps, (0,)):
-        if mask == full:
-            for m in path:
-                if m not in live:
-                    live[m] = frozenset(_mask_members(m))
-            out.append(tuple(map(live.__getitem__, path)))
-            if len(out) > cap:
-                raise CapExceeded(f"more than {cap} dual domino tableaux")
-    return out
+    message = (f"dual domino tableaux of a {P.p}-element poset need more than "
+               f"{posets.DEFAULT_IDEAL_CAP} order ideals")
+    paths = []
+    for path in _dual_dominoes(0, (1 << P.p) - 1, lambda mask: [
+            mask | bit for bit in _addable(joins[mask.bit_count()], mask)], P.p % 2, message):
+        paths.append(path)
+        if len(paths) > cap:
+            raise CapExceeded(f"more than {cap} dual domino tableaux")
+    sets = {m: frozenset(_mask_members(m)) for m in set().union(*paths)}  # one per ideal on a tableau
+    for k, path in enumerate(paths):  # in place, so no second list of paths is held
+        paths[k] = tuple(map(sets.__getitem__, path))
+    return paths
 
 
 def domino_word(tableau) -> Word:

@@ -54,9 +54,15 @@ def _reduced_words(n) -> dict:
     return words
 
 
+def _inverse(h) -> HeckeElt:
+    """The image of h under the anti-involution T_w -> T_{w^-1}."""
+    # w^-1(k) is the position of k in w
+    return HeckeElt(h.n, {tuple(w.index(k) + 1 for k in range(1, h.n + 1)): c for w, c in h.terms.items()})
+
+
 def _left(h, i) -> HeckeElt:
-    """T_i h = (h' T_i)' for the anti-involution ' = inverse."""
-    return h.inverse().mul_gen_right(i).inverse()
+    """T_i h = (h' T_i)' for the anti-involution ' = `_inverse`."""
+    return _inverse(_inverse(h).mul_gen_right(i))
 
 
 def test_perm_basics():

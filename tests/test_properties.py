@@ -14,6 +14,7 @@ from linext.chains import (
     evacuate_chain,
     graded_from_poset,
     promote_chain,
+    self_evacuating_chains,
 )
 from linext.flags import subspace_lattice
 from linext.posets import (
@@ -242,13 +243,39 @@ def test_extension_space_lists_every_extension_in_lex_order(P):
     assert list(extension_space(P).words) == sorted(filter(P.is_extension, permutations(range(P.p))))
 
 
-@given(st.one_of(graded_posets(), dag_posets(max_p=5).map(lambda P: graded_from_poset(ideals_lattice(P)[0]))))
+# graded posets with a bottom and a top: random ranks, or J(P) of a small poset
+GRADED_POSETS = st.one_of(graded_posets(),
+                          dag_posets(max_p=5).map(lambda P: graded_from_poset(ideals_lattice(P)[0])))
+
+
+@given(GRADED_POSETS)
 @example(subspace_lattice(2, 2).graded)  # height 2, three middles
 @example(subspace_lattice(3, 2).graded)  # height 3, seven atoms
 @example(graded_from_poset(chain(1)))
 @settings(max_examples=100, deadline=None)
 def test_chain_space_lists_the_maximal_chains(Q):
     assert list(Q.space.words) == maximal_chains(Q.poset)
+
+
+def filtered_dual_domino_chains(Q) -> list:
+    """Stanley's definition read off the maximal chains: with k = height
+    mod 2, m[:k] + m[k::2] for each maximal chain m whose steps along m[k::2]
+    each have one middle; sorted.  A reference for the walk up the covers."""
+    k = Q.height % 2
+    return sorted(m[:k] + m[k::2] for m in maximal_chains(Q.poset)
+                  if all(len(Q.rank2[s, t]) == 1 for s, t in zip(m[k::2], m[k + 2::2])))
+
+
+@given(GRADED_POSETS)
+@example(subspace_lattice(2, 2).graded)
+@example(subspace_lattice(3, 2).graded)
+@example(graded_from_poset(chain(1)))
+@settings(max_examples=100, deadline=None)
+def test_dual_domino_chains_are_the_filtered_maximal_chains(Q):
+    dominoes = dual_domino_chains(Q)
+    assert dominoes == filtered_dual_domino_chains(Q)
+    if Q.slender:  # Stanley's chain theorem
+        assert len(dominoes) == len(self_evacuating_chains(Q))
 
 
 @given(dag_posets(max_p=6))
@@ -558,8 +585,9 @@ def test_dual_and_restrict_equal_the_posets_built_from_their_pairs(P, data):
 @given(dag_posets(max_p=7))
 @settings(max_examples=80, deadline=None)
 def test_dual_domino_chains_of_the_ideal_lattice_are_the_dual_domino_tableaux(P):
-    """The maximal-chain filter of chains.py and the ideal walk of stats.py
-    give the same dual P-domino tableaux."""
+    """The one dual domino walk gives the same dual P-domino tableaux on the
+    ideal masks of J(P), as stats.py hands it, and on the covers of
+    `ideals_lattice`, as chains.py does."""
     J, members = ideals_lattice(P)
     by_members = [tuple(members[i] for i in m)
                   for m in dual_domino_chains(graded_from_poset(J))]

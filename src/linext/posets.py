@@ -16,14 +16,16 @@ I & geq == below, with t's down-set geq and strict down-set below from
 I (t joins only ideals of size |geq| - 1 to p - |leq|): the layered walk, the
 kids of L(P)'s graph, the covers of `ideals_lattice` and the dual domino steps.
 One layered walk (`_ideal_layers`), a pass per element filed under a layer's
-size, serves `extension_space`, which reads L(P)'s graph, or past its cap e(P)
-for the message, off that walk of J(P).  `count_extensions` and `ideals`
-(so `ideals_lattice` too) run it once per connected component C of P
-(`_components`), over C's elements alone in P's own bits, and combine:
+size, serves e(P), the ideals, L(P)'s graph and the path sums.
+`count_extensions` and `ideals` (so `ideals_lattice` too) run it once per
+connected component C of P (`_components`), over C's elements alone in P's
+own bits, and combine:
 e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q), whose rows
 `ideals` merges by keyless sorts of twins m | rev(m) << p, rev(m) being m's
 bits reversed.  The ideal cap is checked against the product of the |J(C)|,
-which is |J(P)|.  Given a step, the same walk runs over J(P) whole with
+which is |J(P)|.  `extension_space` takes e(P) and its cap messages from
+`count_extensions`, and under its cap walks J(P) whole once to build L(P)'s
+graph.  Given a step, the same walk runs over J(P) whole with
 (ideal, last element) states and pushes any additive value along each step
 (`_path_sum`): the statistics that need no word of L(P).
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -327,9 +329,10 @@ def _dual_dominoes(root, top, kids, odd, message: str) -> Iterator[tuple]:
     node tuples in lex order: a first step to kids(root) when `odd`, then to
     each z two ranks up that exactly one middle y leads to (y in kids(x),
     z in kids(y)), as first met.  Each node's steps are built once, raising
-    CapExceeded(message) past DEFAULT_IDEAL_CAP nodes.  A node met again has
-    ended its walk: unless a chain found so far passed it, it is left out."""
-    built, live = {}, set()
+    CapExceeded(message) past DEFAULT_IDEAL_CAP nodes, and each node's kids
+    read once.  A node met again has ended its walk: unless a chain found so
+    far passed it, it is left out."""
+    kids, built, live = cache(kids), {}, set()
 
     def steps(x):
         zs = built.get(x)
@@ -471,27 +474,18 @@ _SPACES = {}  # Poset -> ExtensionSpace, oldest first
 
 def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
     """The cached ExtensionSpace of P (see SPACE_CACHE_SIZE), or CapExceeded
-    when e(P) > cap, before any word is built, and on a hit too.  Its one walk
-    of J(P) drops the graph once a layer's path sum (a lower bound on e(P), see
-    count_extensions) passes cap, and counts on to name e(P) in the message."""
+    when e(P) > cap, before any word is built, and on a hit too.  e(P) and
+    its cap messages come from count_extensions; under cap one walk of J(P)
+    builds L(P)'s graph, at most (p + 1) e(P) ideals, as each lies on a word."""
     space = _SPACES.get(P)
     if space is None:
-        kids, message = {}, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
-        try:
-            joins = _joins(P, range(P.p))
-            for down_sets, layer in zip(joins, _ideal_layers(joins, message)):
-                paths = sum(layer.values())
-                if paths > cap:  # as is every later sum, so from here the walk only counts
-                    kids = None
-                else:
-                    for mask in layer:  # kids[I]: (t, I + t) per t addable to I
-                        kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
-        except CapExceeded:  # of the ideals, named unless a complete layer has passed cap
-            if kids is None:
-                raise CapExceeded(f"e(P) >= {paths} exceeds cap {cap}") from None
-            raise
-        if kids is None:
-            raise CapExceeded(f"e(P) = {paths} exceeds cap {cap}")
+        e = count_extensions(P)
+        if e > cap:
+            raise CapExceeded(f"e(P) = {e} exceeds cap {cap}")
+        kids, joins = {}, _joins(P, range(P.p))
+        for down_sets, layer in zip(joins, _ideal_layers(joins, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP))):
+            for mask in layer:  # kids[I]: (t, I + t) per t addable to I
+                kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
         space = _SPACES[P] = ExtensionSpace(P.p, 0, kids)
         if len(_SPACES) > SPACE_CACHE_SIZE:
             del _SPACES[next(iter(_SPACES))]
@@ -505,8 +499,7 @@ def count_extensions(P: Poset) -> int:
     connected component at a time: e(P + Q) = C(p + q, p) e(P) e(Q), the
     shuffles of a word of P with one of Q.  Each J(C) is walked as `ideals`
     walks it, and CapExceeded is raised once the product of the |J(C)| passes
-    DEFAULT_IDEAL_CAP, exactly when |J(P)| does.  A complete layer's path sum
-    is a lower bound on e(P) = sum over |I| = k of e(I) e(P - I)."""
+    DEFAULT_IDEAL_CAP, exactly when |J(P)| does."""
     message = _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
     e, n, size = 1, 0, 1
     for ids in _components(P):

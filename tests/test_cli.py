@@ -191,14 +191,19 @@ def test_cli_count_exits_3_at_ideal_cap(tmp_path, capsys, monkeypatch):
     assert "40-element" in err and "1000" in err
 
 
-def test_cli_count_on_a_wide_antichain_exits_3_at_once(tmp_path, capsys):
-    # 21 one-element components pass the default ideal cap: the message is the
-    # one walk of all 2^21 ideals gave, and no such walk runs
+@pytest.mark.parametrize("verb", [["count"], ["le"], ["orbits"], ["dihedral"], ["stats", "selfevac"]],
+                         ids="-".join)
+def test_cli_count_on_a_wide_antichain_exits_3_at_once(verb, tmp_path, capsys, monkeypatch):
+    # 21 one-element components pass the default ideal cap: every verb prints
+    # the message one walk of all 2^21 ideals gave, and no such walk runs
+    joins, layers = [], posets._ideal_layers
+    monkeypatch.setattr(posets, "_ideal_layers", lambda j, msg: joins.append(j) or layers(j, msg))
     f = tmp_path / "antichain21.poset"
     f.write_text("p=21\n")
-    code, out, err = run_cli(["count", "--poset", str(f)], capsys)
+    code, out, err = run_cli([*verb, "--poset", str(f)], capsys)
     assert (code, out) == (3, "")
     assert err == "cap exceeded: e(P) of a 21-element poset needs more than 1048576 order ideals\n"
+    assert joins and all(len(j) <= 2 for j in joins)  # no walk covers more than one element
 
 
 @pytest.mark.parametrize("verb", [["count"], ["le"], ["orbits"], ["dihedral"], ["stats", "selfevac"]])
@@ -220,16 +225,15 @@ def test_ideal_lattice_of_a_disconnected_corpus_poset_is_pinned():
         (5, 8), (6, 9), (7, 9), (7, 10), (8, 10), (9, 11), (10, 11))
 
 
-def test_cli_le_on_a_wide_poset_names_the_extension_cap(tmp_path, capsys, monkeypatch):
-    # the ideal walk overflows; its last complete layer already shows e(P) > --cap
+def test_cli_le_on_a_wide_poset_prints_the_count_message(tmp_path, capsys, monkeypatch):
+    # the count overflows the ideal cap, so raising --cap could not help
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)
     f = tmp_path / "antichain12.poset"
     f.write_text("p=12\n")
-    code, out, err = run_cli(["--cap", "100", "le", "--poset", str(f)], capsys)
-    assert (code, out, err) == (3, "", "cap exceeded: e(P) >= 11880 exceeds cap 100\n")
-    code, out, err = run_cli(["le", "--poset", str(f)], capsys)
-    assert (code, out) == (3, "")
-    assert err == "cap exceeded: e(P) of a 12-element poset needs more than 1000 order ideals\n"
+    message = "cap exceeded: e(P) of a 12-element poset needs more than 1000 order ideals\n"
+    for cap in (["--cap", "100"], []):
+        assert run_cli([*cap, "le", "--poset", str(f)], capsys) == (3, "", message)
+    assert run_cli(["count", "--poset", str(f)], capsys) == (3, "", message)
 
 
 def test_cli_poset_file_input(tmp_path, capsys):

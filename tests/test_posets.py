@@ -345,14 +345,13 @@ def test_extension_cap():
         list(linear_extensions(antichain(8), cap=100))
 
 
-def test_ideal_cap_overflow_names_the_extension_cap_when_a_layer_passes_it(monkeypatch):
-    # With 1000 ideals allowed, the walk of antichain(12) overflows building
-    # the 5-element layer; the 4-element one sums to C(12, 4) 4! = 11880 <= e(P).
+def test_ideal_cap_overflow_names_the_ideal_cap_whatever_the_extension_cap(monkeypatch):
+    # With 1000 ideals allowed, counting antichain(12) overflows, so no cap on
+    # e(P) (which is 12!) is named, though both caps are passed.
     monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", 1000)
-    with pytest.raises(CapExceeded, match=r"^e\(P\) >= 11880 exceeds cap 11879$"):
-        list(linear_extensions(antichain(12), cap=11879))
-    with pytest.raises(CapExceeded, match=r"^e\(P\) of a 12-element poset needs more than 1000 order ideals$"):
-        list(linear_extensions(antichain(12), cap=11880))
+    for cap in (11879, 11880):
+        with pytest.raises(CapExceeded, match=r"^e\(P\) of a 12-element poset needs more than 1000 order ideals$"):
+            list(linear_extensions(antichain(12), cap=cap))
     assert len(list(linear_extensions(antichain(6), cap=720))) == 720  # 64 ideals
 
 
@@ -480,19 +479,20 @@ def test_extension_space_asks_only_the_elements_an_ideal_can_gain(monkeypatch):
 
 @pytest.mark.parametrize("p, ideal_cap, cap, message", [
     (10, None, 100, "e(P) = 3628800 exceeds cap 100"),
-    (10, None, 3628799, "e(P) = 3628800 exceeds cap 3628799"),  # passed only by the sums of sizes 9 and 10
-    (12, 1000, 11879, "e(P) >= 11880 exceeds cap 11879"),
+    (10, None, 3628799, "e(P) = 3628800 exceeds cap 3628799"),  # passed by one
+    (12, 1000, 11879, "e(P) of a 12-element poset needs more than 1000 order ideals"),
     (12, 1000, 11880, "e(P) of a 12-element poset needs more than 1000 order ideals"),
 ], ids=["e", "e-late", "bound", "ideal-cap"])
-def test_extension_space_over_its_cap_walks_j_of_p_once(p, ideal_cap, cap, message, monkeypatch):
-    walks, layers = [], posets._ideal_layers
+def test_extension_space_over_its_cap_walks_no_j_of_p_whole(p, ideal_cap, cap, message, monkeypatch):
+    # e(P) and the message come from the count, one element at a time
+    joins, layers = [], posets._ideal_layers
     monkeypatch.setattr(posets, "_SPACES", {})
-    monkeypatch.setattr(posets, "_ideal_layers", lambda P, msg: walks.append(msg) or layers(P, msg))
+    monkeypatch.setattr(posets, "_ideal_layers", lambda j, msg: joins.append(j) or layers(j, msg))
     if ideal_cap is not None:
         monkeypatch.setattr(posets, "DEFAULT_IDEAL_CAP", ideal_cap)
     with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
         posets.extension_space(antichain(p), cap)
-    assert len(walks) == 1 and posets._SPACES == {}
+    assert joins and all(len(j) == 2 for j in joins) and posets._SPACES == {}
 
 
 def test_count_of_a_wide_antichain_stops_at_the_ideal_cap(monkeypatch):

@@ -451,7 +451,8 @@ def test_component_walks_match_one_walk_of_j_of_p_whole(P):
     e, masks, n = one_walk_reference(P)
     assert count_extensions(P) == e
     assert ideals(P) == masks
-    # the space still walks all of J(P), so it is an independent route to e(P)
+    # under its cap the space lists the paths of J(P) whole, an independent
+    # route to e(P); over it, the message comes from the count
     space_cap = 5000
     if e <= space_cap:
         assert len(extension_space(P, space_cap).words) == e
@@ -459,11 +460,14 @@ def test_component_walks_match_one_walk_of_j_of_p_whole(P):
         with pytest.raises(CapExceeded, match=f"^e\\(P\\) = {e} exceeds cap {space_cap}$"):
             extension_space(P, space_cap)
     for cap in (64, 5):
-        with patch.object(posets, "DEFAULT_IDEAL_CAP", cap):
+        with patch.object(posets, "DEFAULT_IDEAL_CAP", cap), patch.object(posets, "_SPACES", {}):
             if n > cap:
-                with pytest.raises(CapExceeded, match=f"^e\\(P\\) of a {P.p}-element poset "
-                                                      f"needs more than {cap} order ideals$"):
+                message = f"^e\\(P\\) of a {P.p}-element poset needs more than {cap} order ideals$"
+                with pytest.raises(CapExceeded, match=message):
                     count_extensions(P)
+                for limit in (space_cap, 1):  # whichever cap on e(P), the ideal cap is named
+                    with pytest.raises(CapExceeded, match=message):
+                        extension_space(P, limit)
                 with pytest.raises(CapExceeded, match=f"^more than {cap} order ideals$"):
                     ideals(P)
             else:

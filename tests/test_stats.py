@@ -113,8 +113,9 @@ def test_dual_domino_walk_expands_each_ideal_once(monkeypatch):
     monkeypatch.setattr(posets, "_lex_walk", lambda root, kids, head: lex_walk(
         root, lambda mask: entered.append(mask) or kids(mask), head))
     assert dual_domino_tableaux(J) == []
-    # every ideal's kids are asked of joins[|mask|], and a walked ideal's once
+    # every ideal's kids are asked of joins[|mask|], and once
     assert all(down_sets is joins[0][mask.bit_count()] for down_sets, mask in calls)
+    assert len({mask for _, mask in calls}) == len(calls)
     walked = set(entered)
     expanded = [mask for _, mask in calls if mask in walked]
     assert len(expanded) == len(set(expanded)) == len(walked) and len(calls) < 1000

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import permutations
 
 from . import chains, corpus, flags, hecke, promotion, sieve, stats, verify
 from .hecke import DEFAULT_HECKE_CAP
@@ -142,9 +143,8 @@ def cmd_stats(args):
 
 
 def cmd_sieve(args):
-    fmt = args.format
+    fmt, s = args.format, parse_shape(args.shape)
     if args.action == "F":
-        s = parse_shape(args.shape)
         poly = sieve.F_poly(s)
         if fmt == "json":
             print(json.dumps({"coeffs": list(poly)}))
@@ -152,7 +152,6 @@ def cmd_sieve(args):
             print(poly_str(poly))
         return EXIT_OK
     if args.action == "check":
-        s = parse_shape(args.shape)
         if s.shifted or len(set(s.rows)) != 1:
             raise ParseError(f"sieve check needs a rectangle, not {args.shape!r}")
         rows_data = sieve.cyclic_sieving_check(len(s.rows), s.rows[0], cap=args.cap)
@@ -163,7 +162,6 @@ def cmd_sieve(args):
         _emit(rows, ("d", "e_d", "F(zeta^d)", "status"), fmt)
         return EXIT_OK if all(r.ok for r in rows_data) else EXIT_FAIL
     if args.action == "special":
-        s = parse_shape(args.shape)
         rep = sieve.special_shape_check(s, args.kind, cap=args.cap)
         rows = [
             (rep.kind, str(rep.shape), rep.extensions, rep.power_ok,
@@ -176,8 +174,7 @@ def cmd_sieve(args):
         )
         return EXIT_OK if rep.power_ok and rep.evac_formula_ok else EXIT_FAIL
     if args.action == "table":
-        P = shape_poset(parse_shape(args.shape))
-        rows = sieve.fixed_point_table(P, cap=args.cap)
+        rows = sieve.fixed_point_table(shape_poset(s), cap=args.cap)
         _emit(rows, ("d", "e_d"), fmt)
         return EXIT_OK
 
@@ -198,8 +195,6 @@ def cmd_hecke(args):
                 print(format_factored(c))
             return EXIT_OK
         rows = []
-        from itertools import permutations
-
         for w in permutations(range(1, args.n + 1)):
             key = "".join(map(str, w))
             rows.append((key, format_factored(elt.coeff(w))))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .chains import ChainVector, GradedPoset, evacuate_chains, graded_from_poset, maximal_chains
-from .hecke import Perm, _expand_numerators
+from .hecke import Perm, _coefficients
 from .posets import CapExceeded, _poset_from_reduced
 from .ratfunc import peval
 
@@ -119,15 +119,15 @@ def hecke_consistency(n: int, q: int) -> HeckeConsistencyReport:
     """Check m_0 evacuation against the c_w(q) expansion on B_n(q).
 
     The coefficient of each flag in evacuate_chains(m_0) must be constant on
-    its Bruhat cell and equal c_w(q) = num_w(q) / (q+1)^C(n,2), num_w read off
-    hecke._expand_numerators; both are compared as integers, each flag's
-    numerator over the evacuated vector's common denominator.
+    its Bruhat cell and equal c_w(q), read off hecke._coefficients (which,
+    unlike c_w, answers n = 0 too).  Each flag's numerator over the evacuated
+    vector's common denominator is compared exactly with c_w(q) times that
+    denominator, a Fraction computed once per cell.
     """
     lat = subspace_lattice(n, q)
     m0 = standard_flag_chain(lat)
     ev = evacuate_chains(lat.graded, ChainVector.basis(m0))
-    scale = (q + 1) ** (n * (n - 1) // 2)
-    expected = {w: peval(num, q) * ev.den for w, num in _expand_numerators(n).items()}
+    expected = {w: c.coef * peval(c.num, q) * ev.den / peval(c.den, q) for w, c in _coefficients(n).items()}
     cells, mismatches = {}, []
     for chain in maximal_chains(lat.graded):
         w = bruhat_cell(lat, chain, m0)
@@ -136,7 +136,7 @@ def hecke_consistency(n: int, q: int) -> HeckeConsistencyReport:
         if seen != a:
             mismatches.append(chain)
         cells[w] = (size + 1, a)
-        if a * scale != expected.get(w, 0):
+        if a != expected.get(w, 0):
             mismatches.append(chain)
     cells = {w: (size, Fraction(a, ev.den)) for w, (size, a) in cells.items()}
     return HeckeConsistencyReport(n, q, not mismatches, cells, tuple(mismatches))

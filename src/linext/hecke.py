@@ -175,13 +175,6 @@ def _expand_packed(n: int) -> dict:
     return terms
 
 
-def _expand_numerators(n: int) -> dict:
-    """{w: IntPoly}, the numerators of _expand_packed(n) read back by _unpack:
-    exact, since |c|_1 <= 2^(2 C(n,2)) < 2^(B-1)."""
-    width = _pack_width(n)
-    return {w: _unpack(c, width) for w, c in _expand_packed(n).items()}
-
-
 @lru_cache(maxsize=None)
 def _coefficients(n: int) -> dict:
     """{w: c_w(q)} in canonical form, expanded and reduced once per n: each

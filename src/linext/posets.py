@@ -11,12 +11,13 @@ covers run no reduction, `dual_poset` swaps P's masks and cover lists, and
 
 L(P) is the set of maximal chains of J(P).  Every walk over J(P) here uses one
 rule for the elements that can be added to an ideal: I gains t iff
-I & geq == below, with t's down-set geq and strict down-set below from
-`_down_sets`, and asks only the elements that `_joins` files under the size of
-I (t joins only ideals of size |geq| - 1 to p - |leq|): the layered walk, the
-kids of L(P)'s graph, the covers of `ideals_lattice` and the dual domino steps.
-One layered walk (`_ideal_layers`), a pass per element filed under a layer's
-size, serves e(P), the ideals, L(P)'s graph and the path sums.
+I & geq == below, with t's down-set geq and strict down-set below, and asks
+only the elements that `_joins` files under the size of I (t joins only
+ideals of size |geq| - 1 to p - |leq|).  `_ideal_kids` is that rule as one
+step, the ideals one element above I: L(P)'s graph, the covers of
+`ideals_lattice` and the dual domino steps read it.  One layered walk
+(`_ideal_layers`), a pass per element filed under a layer's size, serves
+e(P), the ideals and the path sums.
 `count_extensions` and `ideals` (so `ideals_lattice` too) run it once per
 connected component C of P (`_components`), over C's elements alone in P's
 own bits, and combine:
@@ -24,8 +25,8 @@ e(P + Q) = C(p + q, p) e(P) e(Q) and J(P + Q) = J(P) x J(Q), whose rows
 `ideals` merges by keyless sorts of twins m | rev(m) << p, rev(m) being m's
 bits reversed.  The ideal cap is checked against the product of the |J(C)|,
 which is |J(P)|.  `extension_space` takes e(P) and its cap messages from
-`count_extensions`, and under its cap walks J(P) whole once to build L(P)'s
-graph.  Given a step, the same walk runs over J(P) whole with
+`count_extensions`, and under its cap builds L(P)'s graph in one pass up J(P)
+by `_ideal_kids`.  Given a step, the layered walk runs over J(P) whole with
 (ideal, last element) states and pushes any additive value along each step
 (`_path_sum`): the statistics that need no word of L(P).
 
@@ -54,7 +55,6 @@ Word = tuple  # tuple[int, ...], a linear extension as a word
 
 DEFAULT_IDEAL_CAP = 2 ** 20  # the one cap on |J(P)|, read by every walk of J(P) when it runs
 DEFAULT_EXTENSION_CAP = 200_000
-_NEEDS_IDEALS = "e(P) of a {}-element poset needs more than {} order ideals"  # p, DEFAULT_IDEAL_CAP
 
 
 class CycleError(ValueError):
@@ -201,31 +201,32 @@ def disjoint_union(a: Poset, b: Poset) -> Poset:
     return _poset_from_reduced(a.p + b.p, pairs)
 
 
-def _down_sets(P: Poset, ids) -> list:
-    """(bit, geq, below) for each t in `ids`: 1 << t, its down-set
-    P.geq_mask[t] and its strict down-set geq ^ bit.  An ideal I gains t iff
-    I & geq == below: all of t's down-set but t itself lies in I."""
-    return [(1 << t, P.geq_mask[t], P.geq_mask[t] ^ 1 << t) for t in ids]
-
-
-def _addable(down_sets, mask: int) -> list:
-    """The bits, in the order of `down_sets` (as `_down_sets` gives them), of
-    the elements that can be added to the ideal `mask`."""
-    return [bit for bit, geq, below in down_sets if mask & geq == below]
-
-
 def _joins(P: Poset, ids) -> list:
-    """joins[k], k = 0..n: the down sets (as `_down_sets` gives them), in
-    ascending t, of the elements t of `ids` (ascending, n of them, a union of
-    P's connected components) that an ideal of size k of J(ids) can gain.
-    That ideal holds t's strict down-set and nothing above t, so
+    """joins[k], k = 0..n: (bit, geq, below), in ascending t, for each element
+    t of `ids` (ascending, n of them, a union of P's connected components)
+    that an ideal of size k of J(ids) can gain: 1 << t, its down-set
+    P.geq_mask[t] and its strict down-set geq ^ bit.  An ideal I gains t iff
+    I & geq == below: it holds t's strict down-set and nothing above t, so
     |geq| - 1 <= k <= n - |leq|: each element is filed once under those sizes."""
     n = len(ids)
     joins = [[] for _ in range(n + 1)]
-    for t, down_set in zip(ids, _down_sets(P, ids)):
-        for k in range(down_set[1].bit_count() - 1, n - P.leq_mask[t].bit_count() + 1):
+    for t in ids:
+        geq = P.geq_mask[t]
+        down_set = 1 << t, geq, geq ^ 1 << t
+        for k in range(geq.bit_count() - 1, n - P.leq_mask[t].bit_count() + 1):
             joins[k].append(down_set)
     return joins
+
+
+def _ideal_kids(P: Poset):
+    """kids(mask): the ideals of J(P) one element above the ideal `mask`, by
+    ascending element, asking only the elements that `_joins` files under
+    |mask|.  The one step rule of J(P) outside its layered walk."""
+    joins = _joins(P, range(P.p))
+
+    def kids(mask: int) -> list:
+        return [mask | bit for bit, geq, below in joins[mask.bit_count()] if mask & geq == below]
+    return kids
 
 
 def _components(P: Poset) -> list:
@@ -475,17 +476,20 @@ _SPACES = {}  # Poset -> ExtensionSpace, oldest first
 def extension_space(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> ExtensionSpace:
     """The cached ExtensionSpace of P (see SPACE_CACHE_SIZE), or CapExceeded
     when e(P) > cap, before any word is built, and on a hit too.  e(P) and
-    its cap messages come from count_extensions; under cap one walk of J(P)
-    builds L(P)'s graph, at most (p + 1) e(P) ideals, as each lies on a word."""
+    its cap messages come from count_extensions; under cap one pass up J(P),
+    a size at a time, asks `_ideal_kids` once per ideal for L(P)'s graph: at
+    most (p + 1) e(P) ideals, as each lies on a word.  The step x -> y is
+    lettered by the bit of x ^ y."""
     space = _SPACES.get(P)
     if space is None:
         e = count_extensions(P)
         if e > cap:
             raise CapExceeded(f"e(P) = {e} exceeds cap {cap}")
-        kids, joins = {}, _joins(P, range(P.p))
-        for down_sets, layer in zip(joins, _ideal_layers(joins, _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP))):
-            for mask in layer:  # kids[I]: (t, I + t) per t addable to I
-                kids[mask] = [(b.bit_length() - 1, mask | b) for b in _addable(down_sets, mask)]
+        kids, layer, above = {}, [0], _ideal_kids(P)
+        while layer:  # J(P) one size at a time, so kids holds the nodes by depth
+            for x in layer:  # kids[x]: (t, x + t) per t that x can gain
+                kids[x] = [((x ^ y).bit_length() - 1, y) for y in above(x)]
+            layer = dict.fromkeys(y for x in layer for _, y in kids[x])
         space = _SPACES[P] = ExtensionSpace(P.p, 0, kids)
         if len(_SPACES) > SPACE_CACHE_SIZE:
             del _SPACES[next(iter(_SPACES))]
@@ -500,7 +504,7 @@ def count_extensions(P: Poset) -> int:
     shuffles of a word of P with one of Q.  Each J(C) is walked as `ideals`
     walks it, and CapExceeded is raised once the product of the |J(C)| passes
     DEFAULT_IDEAL_CAP, exactly when |J(P)| does."""
-    message = _NEEDS_IDEALS.format(P.p, DEFAULT_IDEAL_CAP)
+    message = f"e(P) of a {P.p}-element poset needs more than {DEFAULT_IDEAL_CAP} order ideals"
     e, n, size = 1, 0, 1
     for ids in _components(P):
         found = 0
@@ -586,9 +590,8 @@ def ideals_lattice(P: Poset):
     bits, budget = 2 * len(masks) ** 2, DEFAULT_IDEAL_CAP << 11
     if bits > budget:
         raise CapExceeded(f"the order of J(P), {len(masks)} ideals, needs {bits} bits, more than {budget}")
-    index = {m: i for i, m in enumerate(masks)}
-    joins = _joins(P, range(P.p))
-    covers = [(index[m], index[m | bit]) for m in masks for bit in _addable(joins[m.bit_count()], m)]
+    index, kids = {m: i for i, m in enumerate(masks)}, _ideal_kids(P)
+    covers = [(index[m], index[y]) for m in masks for y in kids(m)]
     lattice = _poset_from_reduced(len(masks), covers)
     members = tuple(frozenset(_mask_members(m)) for m in masks)
     return lattice, members

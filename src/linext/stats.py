@@ -23,9 +23,8 @@ from .posets import (
     CapExceeded,
     Poset,
     Word,
-    _addable,
     _dual_dominoes,
-    _joins,
+    _ideal_kids,
     _mask_members,
     _path_sum,
     count_extensions,
@@ -70,14 +69,13 @@ def dual_domino_tableaux(P: Poset, cap: int = DEFAULT_EXTENSION_CAP) -> list:
     single element when p is odd.  Raises CapExceeded past `cap` tableaux.
 
     These are the dual domino chains of J(P) (`posets._dual_dominoes`) on ideal
-    masks: m | s | t has the one middle m | s exactly when t covers s.
+    masks, stepped by `posets._ideal_kids`: m | s | t has the one middle m | s
+    exactly when t covers s.
     """
-    joins = _joins(P, range(P.p))
     message = (f"dual domino tableaux of a {P.p}-element poset need more than "
                f"{posets.DEFAULT_IDEAL_CAP} order ideals")
     paths = []
-    for path in _dual_dominoes(0, (1 << P.p) - 1, lambda mask: [
-            mask | bit for bit in _addable(joins[mask.bit_count()], mask)], P.p % 2, message):
+    for path in _dual_dominoes(0, (1 << P.p) - 1, _ideal_kids(P), P.p % 2, message):
         paths.append(path)
         if len(paths) > cap:
             raise CapExceeded(f"more than {cap} dual domino tableaux")

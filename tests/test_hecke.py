@@ -11,7 +11,7 @@ from linext.hecke import (
     DEFAULT_HECKE_CAP,
     HeckeElt,
     _coefficients,
-    _expand_numerators,
+    _expand_packed,
     _pack_width,
     c_w,
     check_thm_cid,
@@ -213,13 +213,15 @@ def test_cap_enforced():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_expand_numerators_match_the_generic_algebra(n):
-    """The numerators of E_gamma, the product of (q - 1 - 2 T_i) along gamma,
-    built by right multiplication by T_i over RatFunc."""
+    """The numerators of E_gamma decoded from the packed expansion match the
+    product of (q - 1 - 2 T_i) along gamma, built by right multiplication by
+    T_i over RatFunc."""
     qm1, two = RatFunc.from_poly(Q_MINUS_1), RatFunc.from_rational(2)
     elt = HeckeElt.unit(n)
     for i in gamma_word(n):
         elt = elt.scale(qm1) - elt.mul_gen_right(i).scale(two)
-    got = {w: RatFunc.from_poly(c) for w, c in _expand_numerators(n).items() if c}
+    width = _pack_width(n)
+    got = {w: RatFunc.from_poly(_unpack(c, width)) for w, c in _expand_packed(n).items() if c}
     assert got == elt.terms
 
 

@@ -469,12 +469,40 @@ def test_each_run_is_built_when_one_of_its_operators_is_first_read(monkeypatch):
 
 def test_extension_space_asks_only_the_elements_an_ideal_can_gain(monkeypatch):
     # an ideal of size k of chain(p) can gain k alone, so p down-sets are asked in all
-    p, asked, addable = 2000, [], posets._addable
+    p, asked, joins_of, kids_of = 2000, [], posets._joins, posets._ideal_kids
+
+    class Counted(list):  # a joins entry, counted as a kids call reads it
+        def __iter__(self):
+            asked.append(len(self))
+            return super().__iter__()
+
+    def ideal_kids(P):  # only the kids' joins are counted, not the count's
+        with monkeypatch.context() as m:
+            m.setattr(posets, "_joins", lambda P, ids: list(map(Counted, joins_of(P, ids))))
+            return kids_of(P)
+
     monkeypatch.setattr(posets, "_SPACES", {})
-    monkeypatch.setattr(posets, "_addable", lambda down_sets, mask: asked.append(len(down_sets))
-                        or addable(down_sets, mask))
+    monkeypatch.setattr(posets, "_ideal_kids", ideal_kids)
     assert posets.extension_space(chain(p)).words == (tuple(range(p)),)
-    assert sum(asked) <= 2 * p
+    assert 0 < sum(asked) <= 2 * p
+
+
+def test_extension_space_walks_j_of_p_once_for_its_count_and_asks_each_ideal_once(monkeypatch):
+    # a connected poset under its cap: one layered walk, for e(P), then one
+    # kids call per ideal builds L(P)'s graph
+    P, walks, asked = shape_poset(Shape((8, 8))), [], []
+    layers, kids_of = posets._ideal_layers, posets._ideal_kids
+
+    def ideal_kids(P):
+        kids = kids_of(P)
+        return lambda mask: asked.append(mask) or kids(mask)
+
+    monkeypatch.setattr(posets, "_SPACES", {})
+    monkeypatch.setattr(posets, "_ideal_layers", lambda j, msg: walks.append(j) or layers(j, msg))
+    monkeypatch.setattr(posets, "_ideal_kids", ideal_kids)
+    assert len(posets.extension_space(P).words) == 1430
+    assert len(walks) == 1
+    assert len(asked) == len(set(asked)) == len(ideals(P)) == 45
 
 
 @pytest.mark.parametrize("p, ideal_cap, cap, message", [

@@ -401,7 +401,7 @@ def test_each_layer_holds_ideals_with_the_extension_counts_of_their_subposets(P)
 def all_elements_layers(P) -> list:
     """The layers of J(P) as (mask, paths) lists in insertion order, each
     built by one pass of every element over the layer before it."""
-    down_sets = posets._down_sets(P, range(P.p))
+    down_sets = [(1 << t, P.geq_mask[t], P.geq_mask[t] ^ 1 << t) for t in range(P.p)]
     layer, out = {0: 1}, []
     while layer:
         out.append(list(layer.items()))
@@ -424,6 +424,21 @@ def test_windowed_walk_matches_the_all_elements_walk(P):
     assert got == want
     got = [list(layer.items()) for layer in _ideal_layers(joins, "unreachable", lambda m, last, t, v: (-1, v))]
     assert got == [[((mask, -1), paths) for mask, paths in layer] for layer in want]
+
+
+@given(dag_posets())
+@settings(max_examples=100, deadline=None)
+def test_extension_space_graph_is_the_cover_graph_of_j_of_p(P):
+    # kids, read before tau releases it: (t, I + t) for each ideal I + t, by
+    # ascending t, and the ideals by size
+    with patch.object(posets, "_SPACES", {}):
+        kids = extension_space(P).kids
+    masks = ideals(P)
+    found = set(masks)
+    assert kids == {m: [(t, m | 1 << t) for t in range(P.p) if not m >> t & 1 and m | 1 << t in found]
+                    for m in masks}
+    sizes = [m.bit_count() for m in kids]
+    assert sizes == sorted(sizes)
 
 
 @st.composite

@@ -103,21 +103,35 @@ def test_domino_words_roundtrip(name):
 
 def test_dual_domino_walk_expands_each_ideal_once(monkeypatch):
     # J of the 3x4 rectangle (35 elements) has no dual domino tableau; walked
-    # path by path, its dead ends took over a million _addable calls
+    # path by path, its dead ends took over a million kids calls
     J = ideals_lattice(shape_poset(Shape((4, 4, 4))))[0]
-    calls, entered, joins = [], [], []
-    addable, lex_walk, joins_of = stats._addable, posets._lex_walk, stats._joins
-    monkeypatch.setattr(stats, "_joins", lambda P, ids: joins.append(joins_of(P, ids)) or joins[-1])
-    monkeypatch.setattr(stats, "_addable", lambda down_sets, mask: calls.append((down_sets, mask))
-                        or addable(down_sets, mask))
+    calls, entered, joins, read = [], [], [], []
+    kids_of, lex_walk, joins_of = stats._ideal_kids, posets._lex_walk, posets._joins
+
+    class Entry(list):  # joins[k], recording k as a kids call reads it
+        def __init__(self, k, down_sets):
+            super().__init__(down_sets)
+            self.k = k
+
+        def __iter__(self):
+            read.append(self.k)
+            return super().__iter__()
+
+    def ideal_kids(P):
+        kids = kids_of(P)
+        return lambda mask: calls.append(mask) or kids(mask)
+
+    monkeypatch.setattr(posets, "_joins", lambda P, ids: joins.append(
+        [Entry(k, down_sets) for k, down_sets in enumerate(joins_of(P, ids))]) or joins[-1])
+    monkeypatch.setattr(stats, "_ideal_kids", ideal_kids)
     monkeypatch.setattr(posets, "_lex_walk", lambda root, kids, head: lex_walk(
         root, lambda mask: entered.append(mask) or kids(mask), head))
     assert dual_domino_tableaux(J) == []
-    # every ideal's kids are asked of joins[|mask|], and once
-    assert all(down_sets is joins[0][mask.bit_count()] for down_sets, mask in calls)
-    assert len({mask for _, mask in calls}) == len(calls)
+    # every ideal's kids are asked of joins[|mask|], of one joins, and once
+    assert len(joins) == 1 and read == [mask.bit_count() for mask in calls]
+    assert len(set(calls)) == len(calls)
     walked = set(entered)
-    expanded = [mask for _, mask in calls if mask in walked]
+    expanded = [mask for mask in calls if mask in walked]
     assert len(expanded) == len(set(expanded)) == len(walked) and len(calls) < 1000
     assert len(entered) < 2 * len(expanded)  # a dead end is not walked again
     # the cap bounds the ideals expanded
